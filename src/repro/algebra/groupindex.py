@@ -142,10 +142,8 @@ class GroupIndexCache:
                  names: Sequence[str]) -> bool:
         """Whether :meth:`get` would hit — no counters, no LRU motion.
 
-        The cost-clock peek: operators consult this *before* running
-        the kernel so a cached group structure is charged as a linear
-        gather rather than a sort, without perturbing the hit/miss
-        accounting of the actual lookup.
+        A diagnostic peek only: the cost clock never consults the
+        cache, so modeled charges do not depend on its contents.
         """
         return (relation.fingerprint, tuple(names)) in self._entries
 

@@ -33,7 +33,6 @@ from repro.errors import (
     QueryError,
     ResourceError,
     StorageError,
-    WorkerError,
     WorkloadError,
 )
 
@@ -49,7 +48,6 @@ EXIT_STORAGE = 5      # storage faults (retry budget exhausted, bad block)
 EXIT_WORKLOAD = 6     # workload-layer precondition failures
 EXIT_PLAN = 7         # planning / optimization failures
 EXIT_CRASH = 8        # simulated crash (--crash-at); resume with --resume
-EXIT_WORKER = 9       # unrecoverable worker fault (degradation disabled)
 EXIT_OVERLOAD = 10    # request(s) shed by serving admission control
 
 
@@ -59,8 +57,6 @@ def exit_code_for(exc: MPFError) -> int:
         # Checked first: shedding means "retry later with backoff",
         # unlike every family below where retrying cannot help.
         return EXIT_OVERLOAD
-    if isinstance(exc, WorkerError):
-        return EXIT_WORKER
     if isinstance(exc, ResourceError):
         return EXIT_RESOURCE
     if isinstance(exc, StorageError):
@@ -89,14 +85,12 @@ create mpfview invest as
 
 def _build_database(
     scale: float, seed: int, pool=None, metrics=None, workers: int = 1,
-    partitions=None, task_policy=None, worker_faults=None,
-    fuse_select_scan: bool = False, clock=None,
+    partitions=None, fuse_select_scan: bool = False, clock=None,
 ) -> Database:
     from repro.datagen import supply_chain
 
     sc = supply_chain(scale=scale, seed=seed)
     db = Database(pool=pool, metrics=metrics, workers=workers,
-                  task_policy=task_policy, worker_faults=worker_faults,
                   fuse_select_scan=fuse_select_scan, clock=clock)
     for t in sc.tables:
         db.register(sc.catalog.relation(t))
@@ -229,81 +223,6 @@ def _fault_injector_from_args(args: argparse.Namespace):
     )
 
 
-def _task_policy_from_args(args: argparse.Namespace):
-    """A TaskPolicy from the ``--task-*`` / ``--hedge-after`` flags.
-
-    Returns ``None`` when every knob is unset, so fault-free runs keep
-    the default (policy-less) task runtime.
-    """
-    timeout = getattr(args, "task_timeout", None)
-    retries = getattr(args, "task_retries", None)
-    hedge_after = getattr(args, "hedge_after", None)
-    no_degrade = getattr(args, "no_task_degrade", False)
-    if (timeout is None and retries is None and hedge_after is None
-            and not no_degrade):
-        return None
-    from repro.plans.scheduler import TaskPolicy
-
-    kwargs = {"allow_degrade": not no_degrade}
-    if timeout is not None:
-        kwargs["timeout"] = timeout
-    if retries is not None:
-        if retries < 0:
-            raise ValueError(
-                f"--task-retries must be >= 0, got {retries}"
-            )
-        kwargs["max_attempts"] = retries + 1
-    if hedge_after is not None:
-        kwargs["hedge_after"] = hedge_after
-    return TaskPolicy(**kwargs)
-
-
-def _worker_faults_from_args(args: argparse.Namespace):
-    """A WorkerFaultInjector from the ``--fault-worker*`` flags."""
-    specs = getattr(args, "fault_worker", None) or ()
-    rate = getattr(args, "fault_worker_rate", 0.0) or 0.0
-    kinds_csv = getattr(args, "fault_worker_kinds", None)
-    if not specs and not rate:
-        return None
-    import math
-
-    from repro.storage.faults import WORKER_FAULT_KINDS, WorkerFaultInjector
-
-    kinds = WORKER_FAULT_KINDS
-    if kinds_csv:
-        kinds = tuple(k.strip() for k in kinds_csv.split(",") if k.strip())
-    for kind in kinds:
-        if kind not in WORKER_FAULT_KINDS:
-            raise ValueError(
-                f"unknown worker fault kind {kind!r}; known kinds: "
-                f"{', '.join(WORKER_FAULT_KINDS)}"
-            )
-    injector = WorkerFaultInjector(seed=args.seed, rate=rate, kinds=kinds)
-    for spec in specs:
-        kind, _, seq = spec.partition(":")
-        if kind not in WORKER_FAULT_KINDS:
-            raise ValueError(
-                f"--fault-worker expects KIND[:N] with KIND one of "
-                f"{', '.join(WORKER_FAULT_KINDS)}, got {spec!r}"
-            )
-        try:
-            ordinal = int(seq) if seq else 0
-        except ValueError:
-            raise ValueError(
-                f"--fault-worker expects an integer task ordinal, "
-                f"got {spec!r}"
-            ) from None
-        if ordinal < 0:
-            raise ValueError(
-                f"--fault-worker task ordinal must be >= 0, got {spec!r}"
-            )
-        # Targeted CLI faults hit every attempt: with the default policy
-        # the batch degrades to serial and still succeeds; with
-        # --no-task-degrade it surfaces WorkerError (exit 9).
-        injector.fail_task(ordinal, kind, attempts=math.inf)
-    return injector
-
-
 def cmd_sql(args: argparse.Namespace) -> int:
     from repro.storage import BufferPool
 
@@ -317,8 +236,6 @@ def cmd_sql(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     try:
         partitions = _parse_partitions(args.partition)
-        task_policy = _task_policy_from_args(args)
-        worker_faults = _worker_faults_from_args(args)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
@@ -343,8 +260,6 @@ def cmd_sql(args: argparse.Namespace) -> int:
             if state.has_checkpoint:
                 db = manager.restore_database(state, pool=pool)
                 db.workers = args.workers
-                db.task_policy = task_policy
-                db.worker_faults = worker_faults
                 db.fuse_select_scan = args.fuse_select_scan
                 print(
                     f"-- resumed from {state.checkpoint.name}: "
@@ -358,8 +273,7 @@ def cmd_sql(args: argparse.Namespace) -> int:
                 db = _build_database(
                     args.scale, args.seed, pool=pool,
                     metrics=state.registry, workers=args.workers,
-                    partitions=partitions, task_policy=task_policy,
-                    worker_faults=worker_faults,
+                    partitions=partitions,
                     fuse_select_scan=args.fuse_select_scan,
                 )
                 print(
@@ -370,7 +284,6 @@ def cmd_sql(args: argparse.Namespace) -> int:
             db = _build_database(
                 args.scale, args.seed, pool=pool,
                 workers=args.workers, partitions=partitions,
-                task_policy=task_policy, worker_faults=worker_faults,
                 fuse_select_scan=args.fuse_select_scan,
             )
         wal = WriteAheadLog(
@@ -384,7 +297,6 @@ def cmd_sql(args: argparse.Namespace) -> int:
         db = _build_database(
             args.scale, args.seed, pool=pool,
             workers=args.workers, partitions=partitions,
-            task_policy=task_policy, worker_faults=worker_faults,
             fuse_select_scan=args.fuse_select_scan,
         )
 
@@ -635,8 +547,6 @@ def _serve_soak(args: argparse.Namespace, tracer=None):
         return EXIT_USAGE
     try:
         partitions = _parse_partitions(args.partition)
-        task_policy = _task_policy_from_args(args)
-        worker_faults = _worker_faults_from_args(args)
         tenants = [
             parse_tenant_spec(text)
             for text in (args.tenant or _DEFAULT_TENANTS)
@@ -649,8 +559,7 @@ def _serve_soak(args: argparse.Namespace, tracer=None):
     clock = VirtualClock()
     db = _build_database(
         args.scale, args.seed, workers=args.workers,
-        partitions=partitions, task_policy=task_policy,
-        worker_faults=worker_faults,
+        partitions=partitions,
         fuse_select_scan=args.fuse_select_scan, clock=clock,
     )
     runtime = ServingRuntime(
@@ -963,36 +872,6 @@ def build_parser() -> argparse.ArgumentParser:
     sql.add_argument("--fault-permanent-rate", type=float, default=0.0,
                      metavar="P",
                      help="seeded per-page permanent fault probability")
-    sql.add_argument("--task-timeout", type=float, default=None,
-                     metavar="UNITS",
-                     help="modeled per-task deadline: a hung worker is "
-                          "killed and the task retried after this many "
-                          "cost units")
-    sql.add_argument("--task-retries", type=int, default=None,
-                     metavar="N",
-                     help="retry budget per scheduled task (N retries "
-                          "after the first attempt, with capped "
-                          "exponential backoff)")
-    sql.add_argument("--hedge-after", type=float, default=None,
-                     metavar="UNITS",
-                     help="launch a hedged duplicate of a straggling "
-                          "task after this many cost units; the first "
-                          "finisher wins")
-    sql.add_argument("--no-task-degrade", action="store_true",
-                     help="disable graceful degradation to serial "
-                          "re-execution; an unrecoverable worker fault "
-                          "exits with code 9 instead")
-    sql.add_argument("--fault-worker", action="append", default=None,
-                     metavar="KIND[:N]",
-                     help="inject a worker fault (crash, hang, slow, "
-                          "lost, poison) on every attempt of scheduled "
-                          "task ordinal N (default 0); repeatable")
-    sql.add_argument("--fault-worker-rate", type=float, default=0.0,
-                     metavar="P",
-                     help="seeded per-task worker fault probability")
-    sql.add_argument("--fault-worker-kinds", default=None, metavar="CSV",
-                     help="restrict seeded worker faults to these kinds "
-                          "(comma-separated; default: all kinds)")
     sql.set_defaults(fn=cmd_sql)
 
     def add_serve_soak_options(p):
@@ -1037,31 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fuse-select-scan", action="store_true",
                        help="lower plans with the Select over Scan "
                             "fusion rewrite")
-        p.add_argument("--task-timeout", type=float, default=None,
-                       metavar="UNITS",
-                       help="modeled per-task deadline (see `sql`)")
-        p.add_argument("--task-retries", type=int, default=None,
-                       metavar="N",
-                       help="retry budget per scheduled task")
-        p.add_argument("--hedge-after", type=float, default=None,
-                       metavar="UNITS",
-                       help="hedge straggling tasks after this many "
-                            "cost units")
-        p.add_argument("--no-task-degrade", action="store_true",
-                       help="disable graceful degradation to serial "
-                            "re-execution on worker faults")
-        p.add_argument("--fault-worker", action="append", default=None,
-                       metavar="KIND[:N]",
-                       help="inject a worker fault on scheduled task "
-                            "ordinal N (repeatable; see `sql`)")
-        p.add_argument("--fault-worker-rate", type=float, default=0.0,
-                       metavar="P",
-                       help="seeded per-task worker fault probability")
-        p.add_argument("--fault-worker-kinds", default=None,
-                       metavar="CSV",
-                       help="restrict seeded worker faults to these "
-                            "kinds")
-
     srv = sub.add_parser(
         "serve",
         help="deterministic multi-tenant serving soak (admission "

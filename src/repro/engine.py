@@ -258,8 +258,6 @@ class Database:
         pool: BufferPool | None = None,
         metrics: MetricsRegistry | None = None,
         workers: int = 1,
-        task_policy=None,
-        worker_faults=None,
         fuse_select_scan: bool = False,
         clock=None,
     ):
@@ -271,16 +269,6 @@ class Database:
         of one batch/query are scheduled over this many modeled
         executors (``docs/parallelism.md``).  Results and structural
         counters are worker-count independent by construction."""
-        self.task_policy = task_policy
-        """Retry/timeout/hedging policy
-        (:class:`~repro.plans.scheduler.TaskPolicy`) applied to every
-        scheduled task; ``None`` uses the default policy."""
-        self.worker_faults = worker_faults
-        """Optional seeded
-        :class:`~repro.storage.faults.WorkerFaultInjector` consulted
-        before every task dispatch.  Injected faults never change
-        results or structural counters — only the modeled schedule and
-        the ``scheduler.task_*`` metrics (``docs/robustness.md``)."""
         self.fuse_select_scan = fuse_select_scan
         """Lower plans with the Select→Scan fusion rewrite (see
         ``docs/internals.md``).  Results are byte-identical fused or
@@ -598,7 +586,6 @@ class Database:
         executor = Executor(
             self.catalog, query.view.semiring, pool=self.pool,
             metrics=self.metrics, workers=self.workers,
-            task_policy=self.task_policy, worker_faults=self.worker_faults,
             fuse_select_scan=self.fuse_select_scan, tracer=tracer,
         )
         span = (
@@ -707,8 +694,6 @@ class Database:
         checkpointer=None,
         checkpoint_every: int = 1,
         workers: int | None = None,
-        task_policy=None,
-        worker_faults=None,
     ) -> BatchReport:
         """Optimize and execute a batch of queries with shared subplans.
 
@@ -806,12 +791,6 @@ class Database:
             self.catalog, semiring, pool=self.pool, guard=guard,
             metrics=self.metrics,
             workers=self.workers if workers is None else workers,
-            task_policy=(
-                self.task_policy if task_policy is None else task_policy
-            ),
-            worker_faults=(
-                self.worker_faults if worker_faults is None else worker_faults
-            ),
             fuse_select_scan=self.fuse_select_scan,
         )
         if resume_from is not None and hasattr(resume_from, "seed_context"):

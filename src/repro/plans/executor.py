@@ -45,16 +45,13 @@ class Executor:
         context: ExecutionContext | None = None,
         metrics=None,
         workers: int = 1,
-        task_policy=None,
-        worker_faults=None,
         fuse_select_scan: bool = False,
         tracer=None,
     ):
         self.context = context or ExecutionContext(
             catalog, semiring, pool=pool, workmem_pages=workmem_pages,
-            metrics=metrics, workers=workers, task_policy=task_policy,
-            worker_faults=worker_faults, fuse_select_scan=fuse_select_scan,
-            tracer=tracer,
+            metrics=metrics, workers=workers,
+            fuse_select_scan=fuse_select_scan, tracer=tracer,
         )
 
     @property

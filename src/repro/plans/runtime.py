@@ -55,13 +55,7 @@ from repro.plans.nodes import (
     Select,
     SemiJoin,
 )
-from repro.plans.scheduler import (
-    CriticalPathClock,
-    OrderedPool,
-    ScheduleReport,
-    TaskPolicy,
-    TaskRuntime,
-)
+from repro.plans.scheduler import CriticalPathClock, ScheduleReport
 from repro.semiring.base import Semiring
 from repro.storage.buffer import BufferPool
 from repro.storage.heapfile import HeapFile, TempFileAllocator
@@ -151,8 +145,6 @@ class ExecutionContext:
         guard: QueryGuard | None = None,
         metrics=None,
         workers: int = 1,
-        task_policy: TaskPolicy | None = None,
-        worker_faults=None,
         fuse_select_scan: bool = False,
     ):
         if workers < 1:
@@ -177,23 +169,11 @@ class ExecutionContext:
         self.schedule = CriticalPathClock(workers)
         """Modeled task schedule accumulated over the context lifetime
         (a batch, a workload program); see :meth:`publish_schedule`."""
-        self.task_policy = task_policy
-        self.worker_faults = worker_faults
-        self._task_runtime = TaskRuntime(
-            OrderedPool(workers), policy=task_policy,
-            injector=worker_faults, count=self.count,
-            event=self._task_event,
-        )
-        """Fault-tolerant dispatch: every scheduled task goes through
-        the runtime's retry/timeout/hedging supervision (a no-op
-        pass-through without an injector); see
-        :class:`~repro.plans.scheduler.TaskRuntime`."""
         self.scheduled_run = False
         """True once any :func:`evaluate_dag` call took the scheduled
         path — the gate for the worker-dependent ``scheduler.*`` gauges
         (a pure-serial context must not emit a zero-makespan schedule
         into snapshot diffs)."""
-        self._schedule_tail: int | None = None
         self.shard_results: dict[
             tuple, tuple[PartitionSpec, list[FunctionalRelation]]
         ] = {}
@@ -339,14 +319,6 @@ class ExecutionContext:
         """Increment a registry counter; no-op without a registry."""
         if self.metrics is not None:
             self.metrics.counter(name, **labels).inc(amount)
-
-    def _task_event(self, name: str, **attributes) -> None:
-        """Forward a task-dispatch event (retry/hedge/timeout/fault/
-        degrade) to the attached tracer's innermost open span."""
-        if self.tracer is not None:
-            hook = getattr(self.tracer, "event", None)
-            if hook is not None:
-                hook(name, **attributes)
 
     def publish_schedule(self) -> ScheduleReport:
         """Compute and publish the accumulated modeled schedule.
@@ -542,13 +514,7 @@ class GroupByOperator(PhysicalOperator):
                     f"({table_pages} pages) exceeds the memory allowance",
                 )
         if method == "sort":
-            if _group_index_cached(child, self.node.group_names):
-                # The sorted group structure is already in the kernel
-                # cache: the aggregation is a linear gather over the
-                # cached order, not a fresh sort.
-                ctx.stats.charge_cpu(n)
-            else:
-                ctx.stats.charge_cpu(int(n * math.log2(n)))
+            ctx.stats.charge_cpu(int(n * math.log2(n)))
         else:  # hash aggregation: one pass + group emission
             ctx.stats.charge_cpu(n)
         result = marginalize(child, self.node.group_names, ctx.semiring)
@@ -575,19 +541,6 @@ class SemiJoinOperator(PhysicalOperator):
         return result
 
 
-def _group_index_cached(child: FunctionalRelation, group_names) -> bool:
-    """Cost-clock peek: would this GroupBy's group index be a cache hit?
-
-    Uses the same key names :func:`~repro.algebra.aggregate.marginalize`
-    will look up (the child's variable order), without touching the
-    cache's counters or LRU order.
-    """
-    names = child.variables.subset(group_names).names
-    if not names:
-        return False  # empty grouping bypasses the cache entirely
-    return DEFAULT_GROUP_INDEX_CACHE.contains(child, names)
-
-
 OPERATORS: dict[type[PlanNode], type[PhysicalOperator]] = {
     Scan: ScanOperator,
     IndexScan: IndexScanOperator,
@@ -612,56 +565,32 @@ def operator_for(node: PlanNode) -> PhysicalOperator:
 # Sharded execution
 # ----------------------------------------------------------------------
 def _run_tasks(ctx, deps_list, thunks, label):
-    """Run independent thunks via the task runtime as schedule tasks.
+    """Run independent thunks in order, one schedule task each.
 
     Each thunk becomes one task on the modeled clock: its elapsed is
-    the cost-clock delta it charged while running.  Dispatch goes
-    through :class:`~repro.plans.scheduler.TaskRuntime` (an
-    :class:`OrderedPool` under retry/timeout/hedging supervision), so
-    shared-state mutation order (and every counter) is the serial
-    order regardless of worker count or injected worker faults.
+    the cost-clock delta it charged while running.  Thunks run in list
+    order in the calling thread, so shared-state mutation order (and
+    every counter) is the serial order for any worker count; workers
+    only size the modeled :class:`CriticalPathClock`.
 
-    **Idempotent-task contract** (publish-on-commit): a task's side
-    effects — cost-clock charges, buffer-pool reads, temp-heapfile
-    shuffle writes — happen only inside the one winning attempt the
-    runtime accepts, and everything downstream of the task publishes
-    only after ``run`` returns: memo writes, ``shard.*`` / ``query.*``
-    counters, schedule registration, and ``ctx.shard_results`` updates
-    all live in the callers, past this commit point.  A faulted
-    attempt is discarded before it starts, so a replayed task can
-    never double-apply memo writes, shuffles, or metrics.  Tasks are
-    registered only after all thunks succeed — a failed operator
-    contributes no schedule entries, mirroring how it contributes no
-    memo entry.
-
-    When the runtime has degraded to serial (exhausted retry budget or
-    a tripped breaker), the remaining DAG is chained on the modeled
-    clock — each new task depends on its predecessor, so the schedule
-    honestly reports the serial drain.
+    **Publish-on-commit:** everything downstream of the tasks — memo
+    writes, ``shard.*`` / ``query.*`` counters, schedule registration,
+    and ``ctx.shard_results`` updates — happens in the callers after
+    this returns.  A raising thunk stops the loop (later shards never
+    run) and propagates, so a failed operator contributes no schedule
+    entries, mirroring how it contributes no memo entry.
     """
-    results = [None] * len(thunks)
-
-    def timed(index, thunk):
-        def call():
-            snapshot = ctx.stats.snapshot()
-            results[index] = thunk()
-            return ctx.stats.since(snapshot).elapsed()
-
-        return call
-
-    modeled = ctx._task_runtime.run(
-        [timed(i, thunk) for i, thunk in enumerate(thunks)], label=label
+    results = []
+    elapsed = []
+    for thunk in thunks:
+        snapshot = ctx.stats.snapshot()
+        results.append(thunk())
+        elapsed.append(ctx.stats.since(snapshot).elapsed())
+    task_ids = tuple(
+        ctx.schedule.add_task(deps, task_elapsed, label)
+        for deps, task_elapsed in zip(deps_list, elapsed)
     )
-    task_ids = []
-    for i, deps in enumerate(deps_list):
-        if ctx._task_runtime.degraded:
-            tail = task_ids[-1] if task_ids else ctx._schedule_tail
-            if tail is not None:
-                deps = _dedup((*deps, tail))
-        task_ids.append(ctx.schedule.add_task(deps, modeled[i], label))
-    if task_ids:
-        ctx._schedule_tail = task_ids[-1]
-    return results, tuple(task_ids)
+    return results, task_ids
 
 
 def _dedup(ids) -> tuple[int, ...]:
@@ -944,10 +873,7 @@ def _execute_groupby_sharded(ctx, node, key, inputs, child_keys, deps):
         def aggregate_shard(part=part):
             n = max(part.ntuples, 2)
             if method == "sort":
-                if _group_index_cached(part, group_names):
-                    ctx.stats.charge_cpu(n)
-                else:
-                    ctx.stats.charge_cpu(int(n * math.log2(n)))
+                ctx.stats.charge_cpu(int(n * math.log2(n)))
             else:
                 ctx.stats.charge_cpu(n)
             result = marginalize(part, group_names, ctx.semiring)
@@ -1036,10 +962,10 @@ def evaluate_dag(
     into per-shard tasks, and every task lands on the context's
     :class:`CriticalPathClock` with its dependency edges.  Execution
     order — and therefore results, counters, and WAL records — is
-    identical to the serial path by construction (ordered dispatch);
-    parallelism shows up as the schedule's modeled makespan.  At
-    ``workers=1`` with no partitioned tables this is exactly the
-    historical serial loop.
+    identical to the serial path by construction (shard tasks run as an
+    in-order loop); parallelism shows up only as the schedule's modeled
+    makespan.  At ``workers=1`` with no partitioned tables this is
+    exactly the historical serial loop.
     """
     if roots is None:
         roots = dag.roots

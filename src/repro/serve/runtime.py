@@ -352,7 +352,6 @@ class ServingRuntime:
             executor = Executor(
                 snap.catalog, request.query.view.semiring, pool=db.pool,
                 metrics=db.metrics, workers=db.workers,
-                task_policy=db.task_policy, worker_faults=db.worker_faults,
                 fuse_select_scan=db.fuse_select_scan, tracer=qt,
             )
             execute_span = (

@@ -5,12 +5,10 @@ from repro.storage.checkpoint import CheckpointData, CheckpointManager
 from repro.storage.faults import (
     CRASH_POINTS,
     DEFAULT_RETRY_POLICY,
-    WORKER_FAULT_KINDS,
     CrashInjector,
     FaultInjector,
     InjectedCrash,
     RetryPolicy,
-    WorkerFaultInjector,
     read_with_retry,
 )
 from repro.storage.heapfile import HeapFile, TempFileAllocator
@@ -61,8 +59,6 @@ __all__ = [
     "InjectedCrash",
     "CrashInjector",
     "CRASH_POINTS",
-    "WorkerFaultInjector",
-    "WORKER_FAULT_KINDS",
     "WriteAheadLog",
     "WALRecord",
     "ReplayResult",

@@ -43,8 +43,6 @@ __all__ = [
     "InjectedCrash",
     "CrashInjector",
     "CRASH_POINTS",
-    "WorkerFaultInjector",
-    "WORKER_FAULT_KINDS",
 ]
 
 
@@ -140,152 +138,6 @@ class CrashInjector:
         if self._arm(point):
             torn_write()
             self._fire(point)
-
-
-# Every registered worker-fault kind, in rough severity order.  The CI
-# worker-fault sweep iterates this tuple (like CRASH_POINTS), so a new
-# kind added here automatically joins the differential oracle.
-WORKER_FAULT_KINDS = (
-    "crash",   # the worker dies before starting the task
-    "hang",    # the worker wedges; only a deadline or a hedge frees the task
-    "slow",    # a straggler: the task completes, slow_factor times later
-    "lost",    # the task completes but its result envelope is dropped
-    "poison",  # a bad worker: this and the next poison_tasks dispatches die
-)
-
-
-class WorkerFaultInjector:
-    """Seeded, deterministic source of scheduled-task worker faults.
-
-    The task runtime (:class:`repro.plans.scheduler.TaskRuntime`) asks
-    :meth:`draw` before dispatching every attempt of every task.  A
-    drawn fault means that attempt never touches shared engine state —
-    the worker died, hung, or lost the result *around* the task, whose
-    work is pure and replayable — so injected faults can never change
-    results or structural counters, only the modeled schedule and the
-    ``scheduler.task_*`` fault metrics.
-
-    Faults are targeted (by global task ordinal or by task-label
-    substring, like :class:`CrashInjector`'s ``after``) or drawn at a
-    seeded per-task rate.  Draws are keyed by the task's *serial
-    ordinal*, never by worker identity, so the same faults fire at any
-    worker count.
-
-    ``poison`` models one bad worker: the drawn attempt fails, and the
-    next ``poison_tasks`` dispatches (any task, any attempt) fail as
-    crashes until the modeled health check replaces the worker.
-    """
-
-    def __init__(
-        self,
-        seed: int = 0,
-        rate: float = 0.0,
-        kinds: tuple[str, ...] = WORKER_FAULT_KINDS,
-        slow_factor: float = 4.0,
-        poison_tasks: int = 2,
-    ):
-        if not 0.0 <= rate <= 1.0:
-            raise StorageError("worker fault rate must lie in [0, 1]")
-        for kind in kinds:
-            if kind not in WORKER_FAULT_KINDS:
-                raise StorageError(
-                    f"unknown worker fault kind {kind!r}; registered "
-                    f"kinds: {', '.join(WORKER_FAULT_KINDS)}"
-                )
-        if slow_factor < 1.0:
-            raise StorageError("slow_factor must be >= 1")
-        if poison_tasks < 0:
-            raise StorageError("poison_tasks must be >= 0")
-        self.seed = seed
-        self.rate = rate
-        self.kinds = tuple(kinds)
-        self.slow_factor = slow_factor
-        self.poison_tasks = poison_tasks
-        self._targeted: dict[int, tuple[str, float]] = {}
-        self._label_targets: list[tuple[str, int, str, float]] = []
-        self._label_seen: dict[str, int] = {}
-        self._poison_left = 0
-        self.counts: dict[str, int] = {}
-        """Per-kind injected-fault counts — lets tests assert a fault
-        actually fired (a targeted site that never runs is a test bug,
-        not a pass)."""
-
-    # ------------------------------------------------------------------
-    # Targeted faults
-    # ------------------------------------------------------------------
-    def fail_task(
-        self, seq: int, kind: str, attempts: float = 1
-    ) -> None:
-        """Fault the first ``attempts`` attempts of task ordinal ``seq``.
-
-        ``attempts=math.inf`` makes the task unrecoverable by retrying
-        alone (the degradation / :class:`~repro.errors.WorkerError`
-        paths); the default faults only the first attempt, so one retry
-        heals it.
-        """
-        self._check_kind(kind)
-        if seq < 0:
-            raise StorageError("task ordinal must be >= 0")
-        self._targeted[seq] = (kind, attempts)
-
-    def fail_label(
-        self,
-        substring: str,
-        kind: str,
-        occurrence: int = 0,
-        attempts: float = 1,
-    ) -> None:
-        """Fault the ``occurrence``-th task whose label contains
-        ``substring`` — an *injection site* ("the first shuffle", "the
-        combine barrier") independent of absolute task numbering."""
-        self._check_kind(kind)
-        if occurrence < 0:
-            raise StorageError("label occurrence must be >= 0")
-        self._label_targets.append((substring, occurrence, kind, attempts))
-
-    def _check_kind(self, kind: str) -> None:
-        if kind not in WORKER_FAULT_KINDS:
-            raise StorageError(
-                f"unknown worker fault kind {kind!r}; registered "
-                f"kinds: {', '.join(WORKER_FAULT_KINDS)}"
-            )
-
-    # ------------------------------------------------------------------
-    # The hook the task runtime calls
-    # ------------------------------------------------------------------
-    def draw(self, seq: int, label: str, attempt: int) -> str | None:
-        """The fault (if any) hitting attempt ``attempt`` of task ``seq``.
-
-        Deterministic in ``(seed, seq, attempt)`` plus the targeted
-        configuration; label sites resolve on first sight of a task and
-        then stick to its ordinal, so retries of a targeted task keep
-        drawing against the same site.
-        """
-        if attempt == 0:
-            # Resolve label sites the first time this task is seen.
-            for substring, occurrence, kind, attempts in self._label_targets:
-                if substring in label:
-                    seen = self._label_seen.get(substring, 0)
-                    self._label_seen[substring] = seen + 1
-                    if seen == occurrence and seq not in self._targeted:
-                        self._targeted[seq] = (kind, attempts)
-        if self._poison_left > 0:
-            self._poison_left -= 1
-            return self._record("crash")
-        targeted = self._targeted.get(seq)
-        if targeted is not None and attempt < targeted[1]:
-            return self._record(targeted[0])
-        if self.rate > 0.0 and attempt == 0 and self.kinds:
-            rng = random.Random(self.seed * 1_000_003 + seq)
-            if rng.random() < self.rate:
-                return self._record(rng.choice(list(self.kinds)))
-        return None
-
-    def _record(self, kind: str) -> str:
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        if kind == "poison":
-            self._poison_left = self.poison_tasks
-        return kind
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,12 @@ there).
 import numpy as np
 import pytest
 
+from repro.catalog import Catalog
 from repro.data import complete_relation, var
 from repro.engine import Database
+from repro.errors import QueryTimeout
 from repro.obs.metrics import MetricsRegistry
+from repro.plans import GroupBy, QueryGuard, Scan, evaluate
 from repro.plans.runtime import ExecutionContext
 from repro.query import MPFQuery, MPFView
 from repro.semiring import SUM_PRODUCT
@@ -32,6 +35,7 @@ from repro.storage import (
     CRASH_POINTS,
     CheckpointManager,
     CrashInjector,
+    HeapFile,
     InjectedCrash,
     RecoveryManager,
     WriteAheadLog,
@@ -159,6 +163,64 @@ class TestWorkerSweepEquivalence:
                 assert type(r1.error) is type(r0.error)
                 continue
             assert r1.result.equals(r0.result, SUM_PRODUCT)
+
+
+class TestShardTaskFailure:
+    """A shard task that raises a typed error stops its node cleanly.
+
+    Shard tasks run as an in-order loop: the error propagates with its
+    type, later shards of the node never start, and nothing of the
+    failed node reaches the schedule, the memo or the shard cache — so
+    the same context answers a follow-up query exactly like a fresh
+    ``workers=1`` one.
+    """
+
+    SHARDS = 4
+
+    def _catalog(self):
+        rng = np.random.default_rng(20260806)
+        a, b, c = var("a", 40), var("b", 30), var("c", 8)
+        catalog = Catalog()
+        catalog.register(complete_relation([a, b], rng=rng, name="r_ab"))
+        catalog.register(complete_relation([b, c], rng=rng, name="r_bc"))
+        catalog.partition_table("r_ab", "b", self.SHARDS)
+        catalog.partition_table("r_bc", "b", self.SHARDS)
+        return catalog
+
+    def test_guard_violation_mid_node(self, monkeypatch):
+        catalog = self._catalog()
+        ctx = ExecutionContext(catalog, SUM_PRODUCT, workers=2)
+        evaluate(GroupBy(Scan("r_bc"), ["c"]), ctx)
+        tasks_before = len(ctx.schedule)
+        memo_before = set(ctx.memo)
+        shards_before = set(ctx.shard_results)
+
+        scanned = []
+        real_scan = HeapFile.scan
+
+        def spy_scan(self, *args, **kwargs):
+            scanned.append(self.file_id)
+            return real_scan(self, *args, **kwargs)
+
+        monkeypatch.setattr(HeapFile, "scan", spy_scan)
+        # The first shard's scan spends the whole budget; the guard
+        # trips at the start of the second shard, inside the node.
+        ctx.guard = QueryGuard(cost_budget=1.0)
+        plan = GroupBy(Scan("r_ab"), ["a"])
+        with pytest.raises(QueryTimeout):
+            evaluate(plan, ctx)
+        monkeypatch.undo()
+
+        files = [f.file_id for f in catalog.shard_heapfiles("r_ab")]
+        assert scanned == files[:2]
+        assert len(ctx.schedule) == tasks_before
+        assert set(ctx.memo) == memo_before
+        assert set(ctx.shard_results) == shards_before
+
+        ctx.guard = None
+        got = evaluate(plan, ctx)
+        serial = ExecutionContext(catalog, SUM_PRODUCT, workers=1)
+        assert _result_bytes(got) == _result_bytes(evaluate(plan, serial))
 
 
 class TestBPWorkerSweep:

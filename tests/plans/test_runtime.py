@@ -4,6 +4,7 @@ import pytest
 
 from repro.algebra import marginalize, product_join
 from repro.algebra.semijoin import product_semijoin, update_semijoin
+from repro.catalog import Catalog
 from repro.data import complete_relation, var
 from repro.errors import PlanError
 from repro.plans import (
@@ -203,3 +204,50 @@ class TestContext:
             BOOLEAN,
         )
         assert result.equals(expected, BOOLEAN)
+
+
+class TestModeledCostPurity:
+    """Modeled cost is a function of (plan, data, options) only.
+
+    The process-wide group-index cache may save wall time, but the same
+    plan over the same relations must charge the same modeled stats
+    whether it runs first in the process or after other group-bys have
+    warmed the cache with exactly the indexes it needs.
+    """
+
+    def _catalog(self, rng, partitioned):
+        a, b, c = var("a", 12), var("b", 10), var("c", 6)
+        catalog = Catalog()
+        catalog.register(complete_relation([a, b], rng=rng, name="r_ab"))
+        catalog.register(complete_relation([b, c], rng=rng, name="r_bc"))
+        if partitioned:
+            catalog.partition_table("r_ab", "b", 3)
+            catalog.partition_table("r_bc", "b", 3)
+        return catalog
+
+    @pytest.mark.parametrize("partitioned", [False, True])
+    def test_stats_alone_equal_stats_after_warm_up(self, rng, partitioned):
+        catalog = self._catalog(rng, partitioned)
+        workers = 2 if partitioned else 1
+        query = lower([
+            GroupBy(Scan("r_ab"), ["a"]),
+            GroupBy(ProductJoin(Scan("r_ab"), Scan("r_bc")), ["c"]),
+        ])
+
+        def run(dag):
+            ctx = ExecutionContext(catalog, SUM_PRODUCT, workers=workers)
+            results = evaluate_dag(dag, ctx)
+            return results, ctx.stats
+
+        results_alone, stats_alone = run(query)
+        run(lower([
+            GroupBy(Scan("r_ab"), ["a"]),
+            GroupBy(Scan("r_ab"), ["b"]),
+            GroupBy(Scan("r_bc"), ["c"]),
+        ]))
+        run(query)
+        results_after, stats_after = run(query)
+
+        assert stats_after == stats_alone
+        for after, alone in zip(results_after, results_alone):
+            assert after.equals(alone, SUM_PRODUCT)

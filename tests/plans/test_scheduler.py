@@ -1,14 +1,8 @@
-"""Unit tests for the critical-path clock and the ordered pool."""
+"""Unit tests for the critical-path clock."""
 
 import pytest
 
-from repro.errors import WorkerError
-from repro.plans.scheduler import (
-    CriticalPathClock,
-    OrderedPool,
-    TaskPolicy,
-    TaskRuntime,
-)
+from repro.plans.scheduler import CriticalPathClock
 
 
 class TestCriticalPathClock:
@@ -71,248 +65,3 @@ class TestCriticalPathClock:
         report = clock.report()
         assert report.makespan >= report.serial_elapsed / 3
         assert report.makespan <= report.serial_elapsed
-
-
-class TestOrderedPool:
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            OrderedPool(0)
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_results_in_order(self, workers):
-        pool = OrderedPool(workers)
-        results = pool.run([lambda i=i: i * i for i in range(10)])
-        assert results == [i * i for i in range(10)]
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_mutation_order_is_serial(self, workers):
-        # The determinism contract: shared state mutates in list
-        # order regardless of worker count.
-        log = []
-        pool = OrderedPool(workers)
-        pool.run([lambda i=i: log.append(i) for i in range(20)])
-        assert log == list(range(20))
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_exception_suppresses_later_thunks(self, workers):
-        ran = []
-
-        def make(i):
-            def thunk():
-                if i == 2:
-                    raise RuntimeError("boom")
-                ran.append(i)
-
-            return thunk
-
-        pool = OrderedPool(workers)
-        with pytest.raises(RuntimeError):
-            pool.run([make(i) for i in range(6)])
-        assert ran == [0, 1]
-
-    def test_base_exception_propagates(self):
-        # The crash injector raises BaseException subclasses; those
-        # must cross the pool boundary too.
-        class Crash(BaseException):
-            pass
-
-        def boom():
-            raise Crash()
-
-        pool = OrderedPool(3)
-        with pytest.raises(Crash):
-            pool.run([lambda: 1, boom, lambda: 3])
-
-
-class _StubInjector:
-    """Scripted fault source: {(seq, attempt): kind}."""
-
-    def __init__(self, script, slow_factor=4.0):
-        self.script = dict(script)
-        self.slow_factor = slow_factor
-
-    def draw(self, seq, label, attempt):
-        return self.script.get((seq, attempt))
-
-
-class TestTaskPolicy:
-    def test_rejects_zero_attempts(self):
-        with pytest.raises(ValueError):
-            TaskPolicy(max_attempts=0)
-
-    def test_rejects_nonpositive_timeout_and_hedge(self):
-        with pytest.raises(ValueError):
-            TaskPolicy(timeout=0.0)
-        with pytest.raises(ValueError):
-            TaskPolicy(hedge_after=-1.0)
-
-    def test_rejects_bad_breaker_threshold(self):
-        with pytest.raises(ValueError):
-            TaskPolicy(breaker_threshold=0.0)
-        with pytest.raises(ValueError):
-            TaskPolicy(breaker_threshold=1.5)
-
-    def test_backoff_doubles_then_caps(self):
-        policy = TaskPolicy(base_delay=100.0, max_delay=350.0)
-        assert [policy.delay_for(i) for i in range(4)] == [
-            100.0, 200.0, 350.0, 350.0,
-        ]
-
-
-def _counting():
-    counts = {}
-
-    def count(name, amount=1, **labels):
-        key = (name, tuple(sorted(labels.items())))
-        counts[key] = counts.get(key, 0) + amount
-
-    return counts, count
-
-
-class TestTaskRuntime:
-    def test_passthrough_without_injector(self):
-        runtime = TaskRuntime(OrderedPool(1))
-        assert runtime.run([lambda: 5.0, lambda: 7.0]) == [5.0, 7.0]
-        assert not runtime.degraded
-
-    def test_crash_retries_with_backoff(self):
-        counts, count = _counting()
-        runtime = TaskRuntime(
-            OrderedPool(1),
-            policy=TaskPolicy(base_delay=100.0),
-            injector=_StubInjector({(0, 0): "crash"}),
-            count=count,
-        )
-        calls = []
-        modeled = runtime.run([lambda: calls.append(1) or 10.0])
-        # Winning attempt ran exactly once; the modeled elapsed folds
-        # in the backoff before the retry.
-        assert calls == [1]
-        assert modeled == [10.0 + 100.0]
-        assert counts[("scheduler.task_retries", ())] == 1
-        assert counts[("faults.worker_injected", (("kind", "crash"),))] == 1
-
-    def test_lost_result_charges_the_wasted_run(self):
-        counts, count = _counting()
-        runtime = TaskRuntime(
-            OrderedPool(1),
-            policy=TaskPolicy(base_delay=100.0),
-            injector=_StubInjector({(0, 0): "lost"}),
-            count=count,
-        )
-        calls = []
-        modeled = runtime.run([lambda: calls.append(1) or 10.0])
-        # The lost attempt did the work before dropping the result:
-        # winning run + one lost run + backoff.  Shared state still
-        # saw the work exactly once.
-        assert calls == [1]
-        assert modeled == [10.0 + 10.0 + 100.0]
-
-    def test_hang_killed_at_timeout_then_retried(self):
-        counts, count = _counting()
-        runtime = TaskRuntime(
-            OrderedPool(1),
-            policy=TaskPolicy(timeout=500.0, base_delay=100.0),
-            injector=_StubInjector({(0, 0): "hang"}),
-            count=count,
-        )
-        modeled = runtime.run([lambda: 10.0])
-        assert modeled == [10.0 + 500.0 + 100.0]
-        assert counts[("scheduler.task_timeouts", ())] == 1
-
-    def test_hang_rescued_by_hedge(self):
-        counts, count = _counting()
-        runtime = TaskRuntime(
-            OrderedPool(1),
-            policy=TaskPolicy(hedge_after=300.0),
-            injector=_StubInjector({(0, 0): "hang"}),
-            count=count,
-        )
-        modeled = runtime.run([lambda: 10.0])
-        assert modeled == [10.0 + 300.0]
-        assert counts[("scheduler.hedges", ())] == 1
-
-    def test_straggler_capped_by_hedge(self):
-        counts, count = _counting()
-        runtime = TaskRuntime(
-            OrderedPool(1),
-            policy=TaskPolicy(hedge_after=15.0),
-            injector=_StubInjector({(0, 0): "slow"}, slow_factor=10.0),
-            count=count,
-        )
-        modeled = runtime.run([lambda: 10.0])
-        # Unhedged the straggler would take 100; the hedge finishes at
-        # hedge_after + one clean run.
-        assert modeled == [10.0 + 15.0]
-        assert counts[("scheduler.hedges", ())] == 1
-
-    def test_exhausted_budget_degrades_and_reruns(self):
-        counts, count = _counting()
-        runtime = TaskRuntime(
-            OrderedPool(1),
-            policy=TaskPolicy(max_attempts=2, base_delay=100.0),
-            injector=_StubInjector(
-                {(0, 0): "crash", (0, 1): "crash", (1, 0): "crash"}
-            ),
-            count=count,
-        )
-        calls = []
-        modeled = runtime.run(
-            [lambda: calls.append(0) or 10.0, lambda: calls.append(1) or 20.0]
-        )
-        # Task 0 exhausts its budget and re-runs serially; task 1's
-        # scripted fault is bypassed because the runtime degraded.
-        assert calls == [0, 1]
-        assert modeled[0] == 10.0 + 100.0
-        assert modeled[1] == 20.0
-        assert runtime.degraded
-        assert runtime.degraded_reasons == ["retry_budget"]
-        assert counts[
-            ("scheduler.degraded", (("reason", "retry_budget"),))
-        ] == 1
-
-    def test_worker_error_when_degradation_disabled(self):
-        runtime = TaskRuntime(
-            OrderedPool(1),
-            policy=TaskPolicy(max_attempts=1, allow_degrade=False),
-            injector=_StubInjector({(0, 0): "crash"}),
-        )
-        with pytest.raises(WorkerError, match="retry budget exhausted"):
-            runtime.run([lambda: 10.0])
-
-    def test_hang_without_timeout_or_hedge_is_unrecoverable(self):
-        runtime = TaskRuntime(
-            OrderedPool(1),
-            policy=TaskPolicy(allow_degrade=False),
-            injector=_StubInjector({(0, 0): "hang"}),
-        )
-        with pytest.raises(WorkerError, match="no task timeout"):
-            runtime.run([lambda: 10.0])
-
-    def test_breaker_trips_on_fault_rate(self):
-        counts, count = _counting()
-        script = {(i, 0): "crash" for i in range(8)}
-        runtime = TaskRuntime(
-            OrderedPool(1),
-            policy=TaskPolicy(breaker_min_tasks=4, breaker_threshold=0.5),
-            injector=_StubInjector(script),
-            count=count,
-        )
-        runtime.run([lambda i=i: float(i) for i in range(8)])
-        assert runtime.degraded
-        assert "breaker" in runtime.degraded_reasons
-        assert counts[("scheduler.degraded", (("reason", "breaker"),))] == 1
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_mutation_order_is_serial_under_faults(self, workers):
-        log = []
-        runtime = TaskRuntime(
-            OrderedPool(workers),
-            policy=TaskPolicy(timeout=100.0, hedge_after=50.0),
-            injector=_StubInjector(
-                {(3, 0): "crash", (7, 0): "hang", (11, 0): "slow",
-                 (15, 0): "lost"}
-            ),
-        )
-        runtime.run([lambda i=i: log.append(i) or 1.0 for i in range(20)])
-        assert log == list(range(20))

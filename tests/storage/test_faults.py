@@ -15,7 +15,6 @@ from repro.storage import (
     IOStats,
     PageId,
     RetryPolicy,
-    WorkerFaultInjector,
     read_with_retry,
 )
 
@@ -213,72 +212,3 @@ class TestIOStatsRetryAccounting:
         assert "retries=" not in stats.summary()
         stats.charge_retry(10.0)
         assert "retries=1" in stats.summary()
-
-
-class TestWorkerFaultInjector:
-    def test_validates_configuration(self):
-        with pytest.raises(StorageError):
-            WorkerFaultInjector(rate=1.5)
-        with pytest.raises(StorageError):
-            WorkerFaultInjector(kinds=("crash", "bogus"))
-        with pytest.raises(StorageError):
-            WorkerFaultInjector(slow_factor=0.5)
-        with pytest.raises(StorageError):
-            WorkerFaultInjector(poison_tasks=-1)
-
-    def test_rejects_unknown_targeted_kind(self):
-        injector = WorkerFaultInjector()
-        with pytest.raises(StorageError):
-            injector.fail_task(0, "bogus")
-        with pytest.raises(StorageError):
-            injector.fail_label("Scan", "bogus")
-
-    def test_targeted_task_faults_requested_attempts(self):
-        injector = WorkerFaultInjector()
-        injector.fail_task(2, "crash", attempts=2)
-        assert injector.draw(2, "", 0) == "crash"
-        assert injector.draw(2, "", 1) == "crash"
-        assert injector.draw(2, "", 2) is None
-        assert injector.draw(3, "", 0) is None
-        assert injector.counts == {"crash": 2}
-
-    def test_label_target_binds_to_occurrence(self):
-        injector = WorkerFaultInjector()
-        injector.fail_label("shuffle", "lost", occurrence=1)
-        assert injector.draw(0, "shuffle[left](b)", 0) is None
-        assert injector.draw(1, "Scan(r_ab)", 0) is None
-        assert injector.draw(2, "shuffle[right](b)", 0) == "lost"
-        # Retries of the bound task keep drawing against the site...
-        assert injector.draw(2, "shuffle[right](b)", 0) == "lost"
-        # ...but only for the configured single attempt.
-        assert injector.draw(2, "shuffle[right](b)", 1) is None
-
-    def test_poison_takes_out_following_dispatches(self):
-        injector = WorkerFaultInjector(poison_tasks=2)
-        injector.fail_task(1, "poison")
-        assert injector.draw(0, "", 0) is None
-        assert injector.draw(1, "", 0) == "poison"
-        # The next two dispatches — any task, any attempt — die as
-        # crashes while the bad worker is replaced.
-        assert injector.draw(1, "", 1) == "crash"
-        assert injector.draw(2, "", 0) == "crash"
-        assert injector.draw(3, "", 0) is None
-        assert injector.counts == {"poison": 1, "crash": 2}
-
-    def test_seeded_draws_are_deterministic_and_ordinal_keyed(self):
-        a = WorkerFaultInjector(seed=7, rate=0.3)
-        b = WorkerFaultInjector(seed=7, rate=0.3)
-        draws_a = [a.draw(seq, "", 0) for seq in range(200)]
-        draws_b = [b.draw(seq, "", 0) for seq in range(200)]
-        assert draws_a == draws_b
-        assert any(k is not None for k in draws_a)
-        # A different seed draws a different fault pattern.
-        c = WorkerFaultInjector(seed=8, rate=0.3)
-        assert draws_a != [c.draw(seq, "", 0) for seq in range(200)]
-
-    def test_seeded_draws_only_hit_first_attempts(self):
-        injector = WorkerFaultInjector(seed=7, rate=1.0, kinds=("crash",))
-        assert injector.draw(0, "", 0) == "crash"
-        # Retries run on a fresh worker: the seeded draw never dooms a
-        # task forever.
-        assert injector.draw(0, "", 1) is None

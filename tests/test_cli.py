@@ -251,12 +251,10 @@ class TestExitCodeFamilies:
         from repro.cli import (
             EXIT_PLAN,
             EXIT_STORAGE,
-            EXIT_WORKER,
             EXIT_WORKLOAD,
         )
 
         cases = {
-            E.WorkerError("w"): EXIT_WORKER,
             E.QueryTimeout("t"): EXIT_RESOURCE,
             E.MemoryLimitExceeded("m"): EXIT_RESOURCE,
             E.QueryCancelled("c"): EXIT_RESOURCE,
@@ -294,73 +292,6 @@ class TestPartitionFlagMatrix:
     ])
     def test_malformed_spec_is_usage_error(self, spec, capsys):
         code = main(["sql", "--partition", spec, "-c", "select 1"])
-        assert code == EXIT_USAGE
-
-
-class TestWorkerFaultFlags:
-    QUERY = "select wid, sum(inv) from invest group by wid"
-
-    def test_recovered_fault_run_succeeds_with_valid_metrics(self, capsys):
-        import json
-
-        from repro.obs.export import validate_metrics_document
-
-        code = main([
-            "sql", "--workers", "2",
-            "--partition", "location=wid:4",
-            "--partition", "warehouses=wid:4",
-            "--fault-worker", "crash:1",
-            "--task-timeout", "50000", "--task-retries", "2",
-            "--hedge-after", "1000", "--metrics-json",
-            "-c", self.QUERY,
-        ])
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        validate_metrics_document(doc)
-        metrics = doc["metrics"]
-        assert any(k.startswith("faults.worker_injected") for k in metrics)
-        assert metrics["scheduler.task_retries"]["value"] >= 1
-
-    def test_unrecoverable_fault_without_degrade_exits_worker(self, capsys):
-        from repro.cli import EXIT_WORKER
-
-        code = main([
-            "sql", "--workers", "2",
-            "--partition", "location=wid:4",
-            "--fault-worker", "crash:1",
-            "--task-retries", "0", "--no-task-degrade",
-            "-c", self.QUERY,
-        ])
-        assert code == EXIT_WORKER
-        assert "unrecoverable" in capsys.readouterr().err
-
-    def test_degraded_fault_run_still_succeeds(self, capsys):
-        import json
-
-        code = main([
-            "sql", "--workers", "2",
-            "--partition", "location=wid:4",
-            "--fault-worker", "crash:1",
-            "--task-retries", "0", "--metrics-json",
-            "-c", self.QUERY,
-        ])
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        degraded = [
-            k for k in doc["metrics"]
-            if k.startswith("scheduler.degraded")
-        ]
-        assert degraded == ["scheduler.degraded{reason=retry_budget}"]
-
-    @pytest.mark.parametrize("argv", [
-        ["--fault-worker", "bogus"],
-        ["--fault-worker", "crash:x"],
-        ["--fault-worker", "crash:-1"],
-        ["--fault-worker-rate", "0.5", "--fault-worker-kinds", "crash,bogus"],
-        ["--task-retries", "-1"],
-    ])
-    def test_bad_fault_flags_are_usage_errors(self, argv, capsys):
-        code = main(["sql", *argv, "-c", "select 1"])
         assert code == EXIT_USAGE
 
 
@@ -426,19 +357,6 @@ class TestServe:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
-
-    def test_worker_faults_compose_with_serving(self, capsys):
-        # Injected worker faults are retried/degraded inside each
-        # request's execution; the soak itself still succeeds.
-        code = main([
-            *self.ARGS, "--workers", "2",
-            "--partition", "location=wid:4",
-            "--fault-worker-rate", "0.2",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "serving soak" in out
-        assert "0 failed" in out
 
     def test_trace_json_flag(self, capsys):
         import json

@@ -85,13 +85,12 @@ create mpfview invest as
 
 def _build_database(
     scale: float, seed: int, pool=None, metrics=None, workers: int = 1,
-    partitions=None, fuse_select_scan: bool = False, clock=None,
+    partitions=None, clock=None,
 ) -> Database:
     from repro.datagen import supply_chain
 
     sc = supply_chain(scale=scale, seed=seed)
-    db = Database(pool=pool, metrics=metrics, workers=workers,
-                  fuse_select_scan=fuse_select_scan, clock=clock)
+    db = Database(pool=pool, metrics=metrics, workers=workers, clock=clock)
     for t in sc.tables:
         db.register(sc.catalog.relation(t))
     for table, key, shards in partitions or ():
@@ -260,7 +259,6 @@ def cmd_sql(args: argparse.Namespace) -> int:
             if state.has_checkpoint:
                 db = manager.restore_database(state, pool=pool)
                 db.workers = args.workers
-                db.fuse_select_scan = args.fuse_select_scan
                 print(
                     f"-- resumed from {state.checkpoint.name}: "
                     f"{len(recovered)} recorded statement(s), "
@@ -274,7 +272,6 @@ def cmd_sql(args: argparse.Namespace) -> int:
                     args.scale, args.seed, pool=pool,
                     metrics=state.registry, workers=args.workers,
                     partitions=partitions,
-                    fuse_select_scan=args.fuse_select_scan,
                 )
                 print(
                     f"-- no checkpoint; rebuilt base tables, "
@@ -284,7 +281,6 @@ def cmd_sql(args: argparse.Namespace) -> int:
             db = _build_database(
                 args.scale, args.seed, pool=pool,
                 workers=args.workers, partitions=partitions,
-                fuse_select_scan=args.fuse_select_scan,
             )
         wal = WriteAheadLog(
             wal_path(args.checkpoint_dir), crash=crash, metrics=db.metrics
@@ -297,7 +293,6 @@ def cmd_sql(args: argparse.Namespace) -> int:
         db = _build_database(
             args.scale, args.seed, pool=pool,
             workers=args.workers, partitions=partitions,
-            fuse_select_scan=args.fuse_select_scan,
         )
 
     guard = _guard_from_args(args, db)
@@ -559,8 +554,7 @@ def _serve_soak(args: argparse.Namespace, tracer=None):
     clock = VirtualClock()
     db = _build_database(
         args.scale, args.seed, workers=args.workers,
-        partitions=partitions,
-        fuse_select_scan=args.fuse_select_scan, clock=clock,
+        partitions=partitions, clock=clock,
     )
     runtime = ServingRuntime(
         db, tenants, clock=clock, strategy=args.strategy,
@@ -861,10 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="modeled executor count for partition-parallel "
                           "execution (results are identical for every "
                           "worker count; see docs/parallelism.md)")
-    sql.add_argument("--fuse-select-scan", action="store_true",
-                     help="lower plans with the Select over Scan fusion "
-                          "rewrite (results are identical; the fused scan "
-                          "skips the selection's separate full pass)")
     sql.add_argument("--partition", action="append", default=None,
                      metavar="TABLE=KEY:N",
                      help="hash-partition TABLE on variable KEY into N "
@@ -913,9 +903,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="TABLE=KEY:N",
                        help="hash-partition TABLE on variable KEY into N "
                             "shards before serving (repeatable)")
-        p.add_argument("--fuse-select-scan", action="store_true",
-                       help="lower plans with the Select over Scan "
-                            "fusion rewrite")
     srv = sub.add_parser(
         "serve",
         help="deterministic multi-tenant serving soak (admission "

@@ -258,7 +258,6 @@ class Database:
         pool: BufferPool | None = None,
         metrics: MetricsRegistry | None = None,
         workers: int = 1,
-        fuse_select_scan: bool = False,
         clock=None,
     ):
         if workers < 1:
@@ -269,10 +268,6 @@ class Database:
         of one batch/query are scheduled over this many modeled
         executors (``docs/parallelism.md``).  Results and structural
         counters are worker-count independent by construction."""
-        self.fuse_select_scan = fuse_select_scan
-        """Lower plans with the Select→Scan fusion rewrite (see
-        ``docs/internals.md``).  Results are byte-identical fused or
-        not; only the modeled CPU charges differ."""
         self.cost_model = cost_model or SimpleCostModel()
         self.pool = pool or BufferPool()
         # Explicit None check: an empty registry is falsy (len() == 0)
@@ -585,8 +580,7 @@ class Database:
             )
         executor = Executor(
             self.catalog, query.view.semiring, pool=self.pool,
-            metrics=self.metrics, workers=self.workers,
-            fuse_select_scan=self.fuse_select_scan, tracer=tracer,
+            metrics=self.metrics, workers=self.workers, tracer=tracer,
         )
         span = (
             tracer.span("execute") if tracer is not None
@@ -783,15 +777,11 @@ class Database:
                     raise
                 optimizations.append(None)
                 plan_errors.append(exc)
-        dag = lower(
-            [opt.plan for opt in optimizations if opt is not None],
-            fuse_select_scan=self.fuse_select_scan,
-        )
+        dag = lower([opt.plan for opt in optimizations if opt is not None])
         ctx = ExecutionContext(
             self.catalog, semiring, pool=self.pool, guard=guard,
             metrics=self.metrics,
             workers=self.workers if workers is None else workers,
-            fuse_select_scan=self.fuse_select_scan,
         )
         if resume_from is not None and hasattr(resume_from, "seed_context"):
             resume_from.seed_context(ctx)

@@ -5,7 +5,6 @@ from repro.plans.executor import Executor, execute
 from repro.plans.guard import QueryGuard
 from repro.plans.lower import PlanDAG, lower
 from repro.plans.nodes import (
-    FilterScan,
     GroupBy,
     IndexScan,
     PlanNode,
@@ -41,7 +40,6 @@ __all__ = [
     "PlanNode",
     "Scan",
     "IndexScan",
-    "FilterScan",
     "Select",
     "ProductJoin",
     "GroupBy",

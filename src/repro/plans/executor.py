@@ -45,13 +45,11 @@ class Executor:
         context: ExecutionContext | None = None,
         metrics=None,
         workers: int = 1,
-        fuse_select_scan: bool = False,
         tracer=None,
     ):
         self.context = context or ExecutionContext(
             catalog, semiring, pool=pool, workmem_pages=workmem_pages,
-            metrics=metrics, workers=workers,
-            fuse_select_scan=fuse_select_scan, tracer=tracer,
+            metrics=metrics, workers=workers, tracer=tracer,
         )
 
     @property

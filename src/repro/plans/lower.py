@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from repro.plans.nodes import FilterScan, IndexScan, PlanNode, Scan, Select
+from repro.plans.nodes import IndexScan, PlanNode, Scan
 
 __all__ = ["PlanDAG", "lower"]
 
@@ -72,21 +72,8 @@ class PlanDAG:
         )
 
 
-def lower(
-    plans: PlanNode | Sequence[PlanNode],
-    fuse_select_scan: bool = False,
-) -> PlanDAG:
-    """Common-subexpression-eliminate plan trees into one DAG.
-
-    ``fuse_select_scan`` additionally rewrites each ``Select`` whose
-    only child is a ``Scan`` *exclusively feeding that Select* into a
-    single :class:`~repro.plans.nodes.FilterScan` node, which
-    evaluates the predicate during the scan and skips one full
-    materialization pass.  Shared scans (another DAG node, or a root,
-    also reads the table's scan) are never fused — fusing them would
-    duplicate the page reads the CSE just eliminated.  Results are
-    byte-identical fused or not.
-    """
+def lower(plans: PlanNode | Sequence[PlanNode]) -> PlanDAG:
+    """Common-subexpression-eliminate plan trees into one DAG."""
     if isinstance(plans, PlanNode):
         plans = [plans]
     nodes: dict[tuple, PlanNode] = {}
@@ -115,7 +102,7 @@ def lower(
             nodes[key] = node
             children[key] = child_keys
             tables = set()
-            if isinstance(node, (Scan, IndexScan, FilterScan)):
+            if isinstance(node, (Scan, IndexScan)):
                 tables.add(node.table)
             for child_key in child_keys:
                 tables |= depends_on[child_key]
@@ -126,7 +113,7 @@ def lower(
 
     roots = tuple(visit(plan) for plan in plans)
     tree_nodes = sum(plan.count_nodes() for plan in plans)
-    dag = PlanDAG(
+    return PlanDAG(
         nodes=nodes,
         children=children,
         depends_on=depends_on,
@@ -134,64 +121,4 @@ def lower(
         order=tuple(order),
         tree_nodes=tree_nodes,
     )
-    if fuse_select_scan:
-        dag = _fuse_select_scans(dag)
-    return dag
 
-
-def _fuse_select_scans(dag: PlanDAG) -> PlanDAG:
-    """Rewrite exclusive Select→Scan pairs into FilterScan nodes."""
-    parents: dict[tuple, set[tuple]] = {key: set() for key in dag.nodes}
-    for key, child_keys in dag.children.items():
-        for child_key in child_keys:
-            parents[child_key].add(key)
-    root_keys = set(dag.roots)
-
-    remap: dict[tuple, tuple] = {}     # select key -> filter-scan key
-    fused: dict[tuple, FilterScan] = {}
-    dropped: set[tuple] = set()        # scan keys absorbed into a fusion
-    for key, node in dag.nodes.items():
-        if not isinstance(node, Select):
-            continue
-        (scan_key,) = dag.children[key]
-        scan = dag.nodes[scan_key]
-        if not isinstance(scan, Scan):
-            continue
-        if scan_key in root_keys or parents[scan_key] != {key}:
-            continue
-        fs = FilterScan(scan.table, node.predicate)
-        remap[key] = fs.structural_key()
-        fused[key] = fs
-        dropped.add(scan_key)
-    if not remap:
-        return dag
-
-    nodes: dict[tuple, PlanNode] = {}
-    children: dict[tuple, tuple[tuple, ...]] = {}
-    depends_on: dict[tuple, frozenset[str]] = {}
-    order: list[tuple] = []
-    for key in dag.order:
-        if key in dropped:
-            continue
-        if key in remap:
-            fs = fused[key]
-            fs_key = remap[key]
-            nodes[fs_key] = fs
-            children[fs_key] = ()
-            depends_on[fs_key] = frozenset({fs.table})
-            order.append(fs_key)
-            continue
-        nodes[key] = dag.nodes[key]
-        children[key] = tuple(
-            remap.get(k, k) for k in dag.children[key]
-        )
-        depends_on[key] = dag.depends_on[key]
-        order.append(key)
-    return PlanDAG(
-        nodes=nodes,
-        children=children,
-        depends_on=depends_on,
-        roots=tuple(remap.get(k, k) for k in dag.roots),
-        order=tuple(order),
-        tree_nodes=dag.tree_nodes,
-    )

@@ -21,7 +21,6 @@ __all__ = [
     "PlanNode",
     "Scan",
     "IndexScan",
-    "FilterScan",
     "Select",
     "ProductJoin",
     "GroupBy",
@@ -110,7 +109,7 @@ class PlanNode:
         return tuple(
             node.table
             for node in self.walk()
-            if isinstance(node, (Scan, IndexScan, FilterScan))
+            if isinstance(node, (Scan, IndexScan))
         )
 
     def count_nodes(self, node_type=None) -> int:
@@ -191,39 +190,6 @@ class IndexScan(PlanNode):
 
     def _key(self) -> tuple:
         return ("index_scan", self.table, tuple(sorted(self.predicate.items())))
-
-
-class FilterScan(PlanNode):
-    """Fused Select→Scan: evaluate equality predicates during the scan.
-
-    Produced by :func:`repro.plans.lower.lower` (``fuse_select_scan``)
-    when a ``Select`` sits directly over a ``Scan`` that no other node
-    shares: the scan's single pass evaluates the predicate in-stream,
-    so the selection's separate full-input pass (and its materialized
-    intermediate) disappears.  Never emitted by the optimizer itself —
-    it is a lowering rewrite, which keeps plan trees, ``EXPLAIN``
-    output, and the plan cache in the unfused vocabulary.
-    """
-
-    __slots__ = ("table", "predicate")
-
-    def __init__(self, table: str, predicate: Mapping[str, object]):
-        super().__init__()
-        if not predicate:
-            raise PlanError("FilterScan requires a non-empty predicate")
-        self.table = table
-        self.predicate = dict(predicate)
-
-    def label(self) -> str:
-        preds = ", ".join(f"{k}={v}" for k, v in self.predicate.items())
-        return f"FilterScan({self.table}, {preds})"
-
-    def _key(self) -> tuple:
-        return (
-            "filter_scan",
-            self.table,
-            tuple(sorted(self.predicate.items())),
-        )
 
 
 class Select(PlanNode):

@@ -21,7 +21,9 @@ The pieces:
   inputs)`` runs one operator over already-evaluated inputs, charging
   the clock the way a disk-based engine would (sequential page reads
   through the pool for scans, hash/sort CPU for joins and aggregation,
-  spill writes past ``workmem_pages``).
+  spill writes past ``workmem_pages``).  The sharded executors run
+  each shard through the same operator, so every operator has one
+  implementation.
 
 * :func:`evaluate` / :func:`evaluate_dag` — drive a lowered
   :class:`~repro.plans.lower.PlanDAG` in topological order.  A node
@@ -46,7 +48,6 @@ from repro.errors import MemoryLimitExceeded, PlanError
 from repro.plans.guard import QueryGuard
 from repro.plans.lower import PlanDAG, lower
 from repro.plans.nodes import (
-    FilterScan,
     GroupBy,
     IndexScan,
     PlanNode,
@@ -75,7 +76,6 @@ __all__ = [
     "PhysicalOperator",
     "ScanOperator",
     "IndexScanOperator",
-    "FilterScanOperator",
     "SelectOperator",
     "ProductJoinOperator",
     "GroupByOperator",
@@ -145,7 +145,6 @@ class ExecutionContext:
         guard: QueryGuard | None = None,
         metrics=None,
         workers: int = 1,
-        fuse_select_scan: bool = False,
     ):
         if workers < 1:
             raise PlanError(f"workers must be >= 1, got {workers}")
@@ -161,11 +160,6 @@ class ExecutionContext:
         self.guard = guard
         self.metrics = metrics
         self.workers = workers
-        self.fuse_select_scan = fuse_select_scan
-        """Whether :func:`evaluate` lowers plans with the Select→Scan
-        fusion rewrite (see :func:`repro.plans.lower.lower`).  Off by
-        default: fusion changes the modeled CPU charges (that is the
-        point), so callers opt in per database/context."""
         self.schedule = CriticalPathClock(workers)
         """Modeled task schedule accumulated over the context lifetime
         (a batch, a workload program); see :meth:`publish_schedule`."""
@@ -391,9 +385,12 @@ class ScanOperator(PhysicalOperator):
 
     def execute(self, ctx, inputs):
         relation = ctx.relation(self.node.table)
-        heapfile = ctx.heapfile_for(self.node.table, relation)
-        heapfile.scan(ctx.pool, ctx.stats, guard=ctx.guard)
+        self.run(ctx, ctx.heapfile_for(self.node.table, relation))
         return relation
+
+    def run(self, ctx, heapfile: HeapFile) -> None:
+        """Read every page of ``heapfile`` (the table or one shard)."""
+        heapfile.scan(ctx.pool, ctx.stats, guard=ctx.guard)
 
 
 class IndexScanOperator(PhysicalOperator):
@@ -414,25 +411,6 @@ class IndexScanOperator(PhysicalOperator):
         code = relation.variables[self.node.variable].domain.code_of(value)
         rows = index.lookup(code, ctx.pool, ctx.stats, guard=ctx.guard)
         return relation.take(rows)
-
-
-class FilterScanOperator(PhysicalOperator):
-    """Fused Select→Scan: predicate evaluated during the base scan.
-
-    Pays the scan's page reads plus CPU for the *surviving* rows only —
-    the fusion's win over Scan-then-Select is exactly the dropped
-    ``charge_cpu(n_input)`` materialization pass.
-    """
-
-    node: FilterScan
-
-    def execute(self, ctx, inputs):
-        relation = ctx.relation(self.node.table)
-        heapfile = ctx.heapfile_for(self.node.table, relation)
-        heapfile.scan(ctx.pool, ctx.stats, guard=ctx.guard)
-        result = restrict(relation, self.node.predicate)
-        ctx.stats.charge_cpu(result.ntuples)
-        return result
 
 
 class SelectOperator(PhysicalOperator):
@@ -461,6 +439,14 @@ class ProductJoinOperator(PhysicalOperator):
 
     def execute(self, ctx, inputs):
         left, right = inputs
+        return self.run(ctx, left, right, self.method(ctx, left))
+
+    def method(self, ctx, left: FunctionalRelation) -> str:
+        """The join method to run, after the guard's degrade decision.
+
+        The sharded executor calls this once on the merged build side,
+        never per shard.
+        """
         method = self.node.method
         if method == "hash" and ctx.guard is not None:
             build_pages = PageGeometry(left.arity).pages_for(left.ntuples)
@@ -477,6 +463,16 @@ class ProductJoinOperator(PhysicalOperator):
                     f"hash join degraded to sort-merge: build side "
                     f"({build_pages} pages) exceeds the memory allowance",
                 )
+        return method
+
+    def run(
+        self,
+        ctx,
+        left: FunctionalRelation,
+        right: FunctionalRelation,
+        method: str,
+    ) -> FunctionalRelation:
+        """Join with ``method``'s CPU charges and spill accounting."""
         result = product_join(left, right, ctx.semiring)
         if method == "sort_merge":
             nl, nr = max(left.ntuples, 2), max(right.ntuples, 2)
@@ -495,7 +491,14 @@ class GroupByOperator(PhysicalOperator):
 
     def execute(self, ctx, inputs):
         (child,) = inputs
-        n = max(child.ntuples, 2)
+        return self.run(ctx, child, self.method(ctx, child))
+
+    def method(self, ctx, child: FunctionalRelation) -> str:
+        """The aggregation method to run, after the degrade decision.
+
+        The sharded executor calls this once on the merged input, never
+        per shard.
+        """
         method = self.node.method
         if method == "hash" and ctx.guard is not None:
             # Pessimistic: the hash table may hold every input group.
@@ -513,6 +516,13 @@ class GroupByOperator(PhysicalOperator):
                     f"hash aggregation degraded to sort: table "
                     f"({table_pages} pages) exceeds the memory allowance",
                 )
+        return method
+
+    def run(
+        self, ctx, child: FunctionalRelation, method: str
+    ) -> FunctionalRelation:
+        """Aggregate with ``method``'s CPU charges and spill accounting."""
+        n = max(child.ntuples, 2)
         if method == "sort":
             ctx.stats.charge_cpu(int(n * math.log2(n)))
         else:  # hash aggregation: one pass + group emission
@@ -544,7 +554,6 @@ class SemiJoinOperator(PhysicalOperator):
 OPERATORS: dict[type[PlanNode], type[PhysicalOperator]] = {
     Scan: ScanOperator,
     IndexScan: IndexScanOperator,
-    FilterScan: FilterScanOperator,
     Select: SelectOperator,
     ProductJoin: ProductJoinOperator,
     GroupBy: GroupByOperator,
@@ -627,11 +636,11 @@ def _catalog_spec(ctx, table):
     return spec
 
 
-def _single_task(ctx, node, inputs, deps):
+def _single_task(ctx, operator, inputs, deps):
     """Execute one node unsharded as a single schedule task."""
-    operator = operator_for(node)
     (result,), task_ids = _run_tasks(
-        ctx, [deps], [lambda: operator.execute(ctx, inputs)], node.label()
+        ctx, [deps], [lambda: operator.execute(ctx, inputs)],
+        operator.node.label(),
     )
     return result, None, task_ids
 
@@ -682,128 +691,55 @@ def _aligned_side(ctx, relation, sharded, node_tasks, key, shards, side):
     return _repartition(ctx, relation, key, shards, _dedup(node_tasks), side)
 
 
-def _join_method(ctx, node, left):
-    """Legacy hash→sort-merge degrade decision on the merged build side."""
-    method = node.method
-    if method == "hash" and ctx.guard is not None:
-        build_pages = PageGeometry(left.arity).pages_for(left.ntuples)
-        if not ctx.guard.build_side_fits(build_pages, ctx.workmem_pages):
-            if not ctx.guard.allow_degrade:
-                raise MemoryLimitExceeded(
-                    f"hash-join build side needs {build_pages} pages, "
-                    "over the memory allowance, and degradation is "
-                    "disabled"
-                )
-            method = "sort_merge"
-            ctx.record_degradation(
-                node,
-                f"hash join degraded to sort-merge: build side "
-                f"({build_pages} pages) exceeds the memory allowance",
-            )
-    return method
-
-
-def _groupby_method(ctx, node, child):
-    """Legacy hash→sort degrade decision on the merged input."""
-    method = node.method
-    if method == "hash" and ctx.guard is not None:
-        table_pages = PageGeometry(child.arity).pages_for(child.ntuples)
-        if not ctx.guard.build_side_fits(table_pages, ctx.workmem_pages):
-            if not ctx.guard.allow_degrade:
-                raise MemoryLimitExceeded(
-                    f"hash aggregation table needs {table_pages} pages, "
-                    "over the memory allowance, and degradation is "
-                    "disabled"
-                )
-            method = "sort"
-            ctx.record_degradation(
-                node,
-                f"hash aggregation degraded to sort: table "
-                f"({table_pages} pages) exceeds the memory allowance",
-            )
-    return method
-
-
-def _execute_scan_sharded(ctx, node, deps):
-    spec = _catalog_spec(ctx, node.table)
-    writer = ctx._table_writers.get(node.table, ())
-    deps = _dedup((*deps, *writer))
+def _execute_scan_sharded(ctx, operator, deps):
+    table = operator.node.table
+    spec = _catalog_spec(ctx, table)
+    deps = _dedup((*deps, *ctx._table_writers.get(table, ())))
     if spec is None:
-        return _single_task(ctx, node, (), deps)
-    shards = ctx.catalog.shard_relations(node.table)
-    files = ctx.catalog.shard_heapfiles(node.table)
-    thunks = []
-    for heapfile in files:
-        def scan_shard(heapfile=heapfile):
-            heapfile.scan(ctx.pool, ctx.stats, guard=ctx.guard)
-
-        thunks.append(scan_shard)
+        return _single_task(ctx, operator, (), deps)
+    thunks = [
+        lambda heapfile=heapfile: operator.run(ctx, heapfile)
+        for heapfile in ctx.catalog.shard_heapfiles(table)
+    ]
     _, task_ids = _run_tasks(
-        ctx, [deps] * spec.shards, thunks, node.label()
+        ctx, [deps] * spec.shards, thunks, operator.node.label()
     )
     ctx.count("shard.tasks", spec.shards)
-    return ctx.relation(node.table), (spec, shards), task_ids
+    sharded = (spec, ctx.catalog.shard_relations(table))
+    return ctx.relation(table), sharded, task_ids
 
 
-def _execute_filterscan_sharded(ctx, node, deps):
-    """Fused scan+filter per shard; selection preserves partitioning."""
-    spec = _catalog_spec(ctx, node.table)
-    writer = ctx._table_writers.get(node.table, ())
-    deps = _dedup((*deps, *writer))
-    if spec is None:
-        return _single_task(ctx, node, (), deps)
-    shards = ctx.catalog.shard_relations(node.table)
-    files = ctx.catalog.shard_heapfiles(node.table)
-    thunks = []
-    for heapfile, part in zip(files, shards):
-        def filter_shard(heapfile=heapfile, part=part):
-            heapfile.scan(ctx.pool, ctx.stats, guard=ctx.guard)
-            result = restrict(part, node.predicate)
-            ctx.stats.charge_cpu(result.ntuples)
-            return result
-
-        thunks.append(filter_shard)
-    results, task_ids = _run_tasks(
-        ctx, [deps] * spec.shards, thunks, node.label()
-    )
-    ctx.count("shard.tasks", spec.shards)
-    # Selection preserves key codes, hence the partitioning.
-    return concat_relations(results), (spec, results), task_ids
-
-
-def _execute_select_sharded(ctx, node, key, inputs, child_keys, deps):
+def _execute_select_sharded(ctx, operator, inputs, child_keys, deps):
     (child_key,) = child_keys
     sharded = ctx.shard_results.get(child_key)
     if sharded is None:
-        return _single_task(ctx, node, inputs, deps)
+        return _single_task(ctx, operator, inputs, deps)
     spec, parts = sharded
     per_deps = _align_deps(
         ctx._node_tasks.get(child_key, ()), spec.shards, deps
     )
-    thunks = []
-    for part in parts:
-        def select_shard(part=part):
-            ctx.stats.charge_cpu(part.ntuples)
-            return restrict(part, node.predicate)
-
-        thunks.append(select_shard)
-    results, task_ids = _run_tasks(ctx, per_deps, thunks, node.label())
+    thunks = [
+        lambda part=part: operator.execute(ctx, (part,)) for part in parts
+    ]
+    results, task_ids = _run_tasks(
+        ctx, per_deps, thunks, operator.node.label()
+    )
     ctx.count("shard.tasks", spec.shards)
     # Selection preserves key codes, hence the partitioning.
     return concat_relations(results), (spec, results), task_ids
 
 
-def _execute_join_sharded(ctx, node, key, inputs, child_keys, deps):
+def _execute_join_sharded(ctx, operator, inputs, child_keys, deps):
     left_key, right_key = child_keys
     left, right = inputs
     left_sharded = ctx.shard_results.get(left_key)
     right_sharded = ctx.shard_results.get(right_key)
     if left_sharded is None and right_sharded is None:
-        return _single_task(ctx, node, inputs, deps)
+        return _single_task(ctx, operator, inputs, deps)
     shared = sorted(set(left.var_names) & set(right.var_names))
     if not shared:
         # Cross product: no key to align on; de-shard and run whole.
-        return _single_task(ctx, node, inputs, deps)
+        return _single_task(ctx, operator, inputs, deps)
 
     # Alignment key: an existing partition key among the join
     # variables wins (left preferred, deterministically); otherwise
@@ -817,7 +753,9 @@ def _execute_join_sharded(ctx, node, key, inputs, child_keys, deps):
         align_key = shared[0]
         shards = (left_sharded or right_sharded)[0].shards
 
-    method = _join_method(ctx, node, left)
+    # The degrade decision sees the merged build side, before any
+    # shuffle: every shard may fit where the whole input does not.
+    method = operator.method(ctx, left)
     left_parts, left_deps = _aligned_side(
         ctx, left, left_sharded, ctx._node_tasks.get(left_key, ()),
         align_key, shards, "left",
@@ -826,26 +764,16 @@ def _execute_join_sharded(ctx, node, key, inputs, child_keys, deps):
         ctx, right, right_sharded, ctx._node_tasks.get(right_key, ()),
         align_key, shards, "right",
     )
-
-    thunks = []
-    per_deps = []
-    for i in range(shards):
-        def join_shard(lp=left_parts[i], rp=right_parts[i]):
-            result = product_join(lp, rp, ctx.semiring)
-            if method == "sort_merge":
-                nl, nr = max(lp.ntuples, 2), max(rp.ntuples, 2)
-                ctx.stats.charge_cpu(
-                    int(nl * math.log2(nl) + nr * math.log2(nr))
-                )
-            ctx.stats.charge_cpu(
-                lp.ntuples + rp.ntuples + result.ntuples
-            )
-            ctx.maybe_spill(result)
-            return result
-
-        thunks.append(join_shard)
-        per_deps.append(_dedup((*left_deps[i], *right_deps[i], *deps)))
-    results, task_ids = _run_tasks(ctx, per_deps, thunks, node.label())
+    thunks = [
+        lambda lp=lp, rp=rp: operator.run(ctx, lp, rp, method)
+        for lp, rp in zip(left_parts, right_parts)
+    ]
+    per_deps = [
+        _dedup((*ld, *rd, *deps)) for ld, rd in zip(left_deps, right_deps)
+    ]
+    results, task_ids = _run_tasks(
+        ctx, per_deps, thunks, operator.node.label()
+    )
     ctx.count("shard.tasks", shards)
     # Matching rows share the key value, so output shard i only holds
     # rows hashing to bucket i: the join result stays partitioned.
@@ -856,36 +784,25 @@ def _execute_join_sharded(ctx, node, key, inputs, child_keys, deps):
     )
 
 
-def _execute_groupby_sharded(ctx, node, key, inputs, child_keys, deps):
+def _execute_groupby_sharded(ctx, operator, inputs, child_keys, deps):
     (child_key,) = child_keys
     sharded = ctx.shard_results.get(child_key)
     if sharded is None:
-        return _single_task(ctx, node, inputs, deps)
+        return _single_task(ctx, operator, inputs, deps)
     spec, parts = sharded
-    (child,) = inputs
-    method = _groupby_method(ctx, node, child)
-    group_names = tuple(node.group_names)
+    node = operator.node
+    # Like the join, degrade on the merged input, never per shard.
+    method = operator.method(ctx, inputs[0])
     per_deps = _align_deps(
         ctx._node_tasks.get(child_key, ()), spec.shards, deps
     )
-    thunks = []
-    for part in parts:
-        def aggregate_shard(part=part):
-            n = max(part.ntuples, 2)
-            if method == "sort":
-                ctx.stats.charge_cpu(int(n * math.log2(n)))
-            else:
-                ctx.stats.charge_cpu(n)
-            result = marginalize(part, group_names, ctx.semiring)
-            ctx.stats.charge_cpu(result.ntuples)
-            ctx.maybe_spill(result)
-            return result
-
-        thunks.append(aggregate_shard)
+    thunks = [
+        lambda part=part: operator.run(ctx, part, method) for part in parts
+    ]
     results, task_ids = _run_tasks(ctx, per_deps, thunks, node.label())
     ctx.count("shard.tasks", spec.shards)
 
-    if spec.key in group_names:
+    if spec.key in node.group_names:
         # The partitioning key survives aggregation: groups never span
         # shards, so per-shard aggregation is already complete.
         return concat_relations(results), (spec, results), task_ids
@@ -895,7 +812,7 @@ def _execute_groupby_sharded(ctx, node, key, inputs, child_keys, deps):
     def combine():
         stacked = concat_relations(results)
         ctx.stats.charge_cpu(stacked.ntuples)
-        final = marginalize(stacked, group_names, ctx.semiring)
+        final = marginalize(stacked, node.group_names, ctx.semiring)
         ctx.stats.charge_cpu(final.ntuples)
         ctx.maybe_spill(final)
         return final
@@ -912,34 +829,32 @@ def _execute_node_scheduled(ctx, dag, node, key, inputs):
 
     Returns ``(merged_result, sharded_or_None, task_ids)``.  Work is
     decomposed over catalog shards where the operator composes with
-    hash partitioning (Scan/Select/ProductJoin/GroupBy); everything
-    else de-shards its inputs (the memo always has the merged form)
-    and runs as a single task.
+    hash partitioning (Scan/Select/ProductJoin/GroupBy), each shard
+    running through the node's own operator; everything else
+    de-shards its inputs (the memo always has the merged form) and
+    runs as a single task.
     """
     child_keys = dag.children[key]
     deps = _dedup(
         t for k in child_keys for t in ctx._node_tasks.get(k, ())
     )
+    operator = operator_for(node)
     if isinstance(node, Scan):
-        return _execute_scan_sharded(ctx, node, deps)
-    if isinstance(node, FilterScan):
-        return _execute_filterscan_sharded(ctx, node, deps)
+        return _execute_scan_sharded(ctx, operator, deps)
     if isinstance(node, IndexScan):
         writer = ctx._table_writers.get(node.table, ())
-        return _single_task(ctx, node, inputs, _dedup((*deps, *writer)))
+        return _single_task(ctx, operator, inputs, _dedup((*deps, *writer)))
     if isinstance(node, Select):
         return _execute_select_sharded(
-            ctx, node, key, inputs, child_keys, deps
+            ctx, operator, inputs, child_keys, deps
         )
     if isinstance(node, ProductJoin):
-        return _execute_join_sharded(
-            ctx, node, key, inputs, child_keys, deps
-        )
+        return _execute_join_sharded(ctx, operator, inputs, child_keys, deps)
     if isinstance(node, GroupBy):
         return _execute_groupby_sharded(
-            ctx, node, key, inputs, child_keys, deps
+            ctx, operator, inputs, child_keys, deps
         )
-    return _single_task(ctx, node, inputs, deps)
+    return _single_task(ctx, operator, inputs, deps)
 
 
 # ----------------------------------------------------------------------
@@ -1070,7 +985,5 @@ def _publish_kernel_counters(ctx, before: tuple[int, int, int]) -> None:
 
 def evaluate(plan: PlanNode, ctx: ExecutionContext) -> FunctionalRelation:
     """Lower one plan tree and evaluate it through the context."""
-    (result,) = evaluate_dag(
-        lower(plan, fuse_select_scan=ctx.fuse_select_scan), ctx
-    )
+    (result,) = evaluate_dag(lower(plan), ctx)
     return result

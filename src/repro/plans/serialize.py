@@ -10,10 +10,10 @@ re-derivable via :func:`repro.plans.annotate.annotate`.
 from __future__ import annotations
 
 import json
+from typing import Mapping
 
 from repro.errors import PlanError
 from repro.plans.nodes import (
-    FilterScan,
     GroupBy,
     IndexScan,
     PlanNode,
@@ -33,12 +33,6 @@ def plan_to_dict(plan: PlanNode) -> dict:
     if isinstance(plan, IndexScan):
         return {
             "op": "index_scan",
-            "table": plan.table,
-            "predicate": dict(plan.predicate),
-        }
-    if isinstance(plan, FilterScan):
-        return {
-            "op": "filter_scan",
             "table": plan.table,
             "predicate": dict(plan.predicate),
         }
@@ -73,35 +67,53 @@ def plan_to_dict(plan: PlanNode) -> dict:
 
 
 def plan_from_dict(data: dict) -> PlanNode:
-    """Rebuild a plan tree from :func:`plan_to_dict` output."""
+    """Rebuild a plan tree from :func:`plan_to_dict` output.
+
+    Malformed input — not a mapping, a missing field, a field of the
+    wrong type, an unknown op — raises :class:`PlanError`.
+    """
     try:
-        op = data["op"]
-    except (TypeError, KeyError):
-        raise PlanError(f"malformed plan dict: {data!r}") from None
+        return _node_from_dict(data)
+    except KeyError as exc:
+        raise PlanError(f"malformed plan dict: missing field {exc}") from None
+    except TypeError as exc:
+        raise PlanError(f"malformed plan dict: {exc}") from None
+
+
+def _predicate(data: dict) -> Mapping:
+    predicate = data["predicate"]
+    if not isinstance(predicate, Mapping):
+        raise PlanError(
+            f"malformed plan dict: predicate must be a mapping, "
+            f"got {predicate!r}"
+        )
+    return predicate
+
+
+def _node_from_dict(data: dict) -> PlanNode:
+    op = data["op"]
     if op == "scan":
         return Scan(data["table"])
     if op == "index_scan":
-        return IndexScan(data["table"], data["predicate"])
-    if op == "filter_scan":
-        return FilterScan(data["table"], data["predicate"])
+        return IndexScan(data["table"], _predicate(data))
     if op == "select":
-        return Select(plan_from_dict(data["child"]), data["predicate"])
+        return Select(_node_from_dict(data["child"]), _predicate(data))
     if op == "product_join":
         return ProductJoin(
-            plan_from_dict(data["left"]),
-            plan_from_dict(data["right"]),
+            _node_from_dict(data["left"]),
+            _node_from_dict(data["right"]),
             method=data.get("method", "hash"),
         )
     if op == "group_by":
         return GroupBy(
-            plan_from_dict(data["child"]),
+            _node_from_dict(data["child"]),
             data["group_names"],
             method=data.get("method", "sort"),
         )
     if op == "semijoin":
         return SemiJoin(
-            plan_from_dict(data["target"]),
-            plan_from_dict(data["source"]),
+            _node_from_dict(data["target"]),
+            _node_from_dict(data["source"]),
             kind=data.get("kind", "product"),
         )
     raise PlanError(f"unknown plan op {op!r}")

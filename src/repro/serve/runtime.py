@@ -351,8 +351,7 @@ class ServingRuntime:
                     ps.attributes["cached"] = cached
             executor = Executor(
                 snap.catalog, request.query.view.semiring, pool=db.pool,
-                metrics=db.metrics, workers=db.workers,
-                fuse_select_scan=db.fuse_select_scan, tracer=qt,
+                metrics=db.metrics, workers=db.workers, tracer=qt,
             )
             execute_span = (
                 qt.span("execute") if qt is not None else nullcontext()

@@ -1,16 +1,10 @@
 """Differential acceptance for the kernel acceleration layer.
 
-The contract: the group-index cache, the idempotent-semiring reduceat
-fast paths, and Select→Scan fusion are **invisible in results** —
-byte-identical outputs and identical structural counters across
-
-* fused vs unfused lowering,
-* workers 1, 2, and 4 (partitioned or not),
-* every builtin semiring,
-
-while the modeled clock gets cheaper (the fused plan skips the
-selection's full pass; a cache-hit GroupBy is charged linear instead of
-``n log n``) and the ``kernel.*`` counters record the cache traffic.
+The contract: the group-index cache and the idempotent-semiring
+reduceat fast paths are **invisible in results** — byte-identical
+outputs and identical structural counters across workers 1, 2, and 4
+(partitioned or not) — while the ``kernel.*`` counters record the
+cache traffic.
 """
 
 import numpy as np
@@ -22,7 +16,7 @@ from repro.engine import Database
 from repro.obs.metrics import MetricsRegistry
 from repro.plans.runtime import ExecutionContext
 from repro.query import MPFQuery, MPFView
-from repro.semiring import ALL_SEMIRINGS, SUM_PRODUCT
+from repro.semiring import SUM_PRODUCT
 from repro.workload.bp import belief_propagation
 
 WORKER_SWEEP = (1, 2, 4)
@@ -48,28 +42,19 @@ def _counters(registry, exclude_prefixes=("scheduler.",)) -> dict:
     }
 
 
-def _relations(semiring=SUM_PRODUCT):
+def _relations():
     rng = np.random.default_rng(20260809)
     a, b, c, d = var("a", 6), var("b", 5), var("c", 4), var("d", 3)
-    rels = [
+    return [
         complete_relation([a, b], rng=rng, name="r_ab"),
         complete_relation([b, c], rng=rng, name="r_bc"),
         complete_relation([c, d], rng=rng, name="r_cd"),
     ]
-    if semiring.dtype.kind == "b":
-        rels = [r.with_measure(r.measure > 0.5) for r in rels]
-    elif semiring.dtype.kind in "iu":
-        rels = [
-            r.with_measure((r.measure * 10).astype(semiring.dtype))
-            for r in rels
-        ]
-    return rels
 
 
-def _db(metrics=None, workers=1, partitioned=False, fuse=False,
-        semiring=SUM_PRODUCT):
-    db = Database(metrics=metrics, workers=workers, fuse_select_scan=fuse)
-    for r in _relations(semiring):
+def _db(metrics=None, workers=1, partitioned=False):
+    db = Database(metrics=metrics, workers=workers)
+    for r in _relations():
         db.register(r)
     if partitioned:
         db.catalog.partition_table("r_ab", "b", 3)
@@ -79,8 +64,8 @@ def _db(metrics=None, workers=1, partitioned=False, fuse=False,
     return db
 
 
-def _sixteen_queries(semiring=SUM_PRODUCT):
-    view = MPFView("v", TABLES, semiring)
+def _sixteen_queries():
+    view = MPFView("v", TABLES, SUM_PRODUCT)
     queries = [MPFQuery(view, (g,)) for g in ("a", "b", "c", "d")]
     for g, sel in (("a", {"b": 1}), ("b", {"c": 0}), ("c", {"d": 2}),
                    ("d", {"a": 3})):
@@ -95,79 +80,24 @@ def _sixteen_queries(semiring=SUM_PRODUCT):
     return queries
 
 
-def _run(fuse, workers=1, partitioned=False, semiring=SUM_PRODUCT):
+def _run(workers=1, partitioned=False):
     DEFAULT_GROUP_INDEX_CACHE.clear()
     registry = MetricsRegistry()
-    db = _db(metrics=registry, workers=workers, partitioned=partitioned,
-             fuse=fuse, semiring=semiring)
-    batch = db.run_batch(_sixteen_queries(semiring))
+    db = _db(metrics=registry, workers=workers, partitioned=partitioned)
+    batch = db.run_batch(_sixteen_queries())
     prints = [_report_fingerprint(r) for r in batch.reports]
-    return prints, _counters(registry), registry
-
-
-class TestFusedVsUnfused:
-    def test_batch_results_byte_identical(self):
-        ref_prints, ref_counters, _ = _run(fuse=False)
-        prints, counters, _ = _run(fuse=True)
-        assert prints == ref_prints
-        # Fusion replaces Scan+Select operator pairs with FilterScan,
-        # so operator-shape counters legitimately differ; everything
-        # measuring *results* must not.
-        for key in ("query.tuples", "query.memo_hits", "queries.total"):
-            matching = {
-                k: v for k, v in ref_counters.items() if k.startswith(key)
-            }
-            assert matching == {
-                k: v for k, v in counters.items() if k.startswith(key)
-            }
-
-    def test_fusion_reduces_modeled_cost(self):
-        # Single-query execution: a batch's CSE shares every base scan
-        # across queries, so no scan is exclusive to one Select and
-        # fusion (correctly) stands down there.  A lone query with a
-        # pushed-down selection is where the rewrite fires.
-        query = _sixteen_queries()[4]  # group a, where b = 1
-        elapsed = {}
-        results = {}
-        for fuse in (False, True):
-            DEFAULT_GROUP_INDEX_CACHE.clear()
-            db = _db(fuse=fuse)
-            report = db.run_query(query)
-            elapsed[fuse] = report.exec_stats.elapsed()
-            results[fuse] = _result_bytes(report.result)
-        assert results[True] == results[False]
-        assert elapsed[True] < elapsed[False]
-
-    def test_fused_operator_ran_and_shape_counters_account_for_it(self):
-        DEFAULT_GROUP_INDEX_CACHE.clear()
-        registry = MetricsRegistry()
-        db = _db(metrics=registry, fuse=True)
-        db.run_query(_sixteen_queries()[4])
-        counters = _counters(registry)
-        assert counters["query.operator_runs{operator=FilterScan}"][
-            "value"
-        ] >= 1
-
-    @pytest.mark.parametrize("s", ALL_SEMIRINGS, ids=lambda s: s.name)
-    def test_every_semiring_agrees(self, s):
-        ref_prints, _, _ = _run(fuse=False, semiring=s)
-        prints, _, _ = _run(fuse=True, semiring=s)
-        assert prints == ref_prints
+    return prints, _counters(registry)
 
 
 class TestKernelWorkerSweep:
-    @pytest.mark.parametrize("fuse", (False, True), ids=("plain", "fused"))
     @pytest.mark.parametrize("partitioned", (False, True),
                              ids=("whole", "sharded"))
-    def test_sweep_byte_identical_with_kernel_counters(
-        self, fuse, partitioned
-    ):
+    def test_sweep_byte_identical_with_kernel_counters(self, partitioned):
         runs = {
-            workers: _run(fuse=fuse, workers=workers,
-                          partitioned=partitioned)
+            workers: _run(workers=workers, partitioned=partitioned)
             for workers in WORKER_SWEEP
         }
-        ref_prints, ref_counters, _ = runs[1]
+        ref_prints, ref_counters = runs[1]
         # The kernel cache really fired, and its counters are pinned
         # structural counters: identical at every worker count.
         assert ref_counters.get(
@@ -175,7 +105,7 @@ class TestKernelWorkerSweep:
         )["value"] > 0
         assert "kernel.groupindex_misses" in ref_counters
         for workers in WORKER_SWEEP[1:]:
-            prints, counters, _ = runs[workers]
+            prints, counters = runs[workers]
             assert prints == ref_prints
             assert counters == ref_counters
 
@@ -190,22 +120,18 @@ class TestBPKernelEquivalence:
             complete_relation([c, d], rng=rng, name="t_cd"),
         ]
 
-    def test_bp_messages_unchanged_by_fusion_and_workers(self):
+    def test_bp_messages_worker_invariant(self):
         outputs = {}
-        for fuse in (False, True):
-            for workers in WORKER_SWEEP:
-                DEFAULT_GROUP_INDEX_CACHE.clear()
-                ctx = ExecutionContext(
-                    {}, SUM_PRODUCT, workers=workers,
-                    fuse_select_scan=fuse,
-                )
-                result = belief_propagation(
-                    self._chain(), SUM_PRODUCT, context=ctx
-                )
-                outputs[(fuse, workers)] = {
-                    name: _result_bytes(rel)
-                    for name, rel in result.tables.items()
-                }
-        ref = outputs[(False, 1)]
-        for key, got in outputs.items():
-            assert got == ref, f"BP diverged at {key}"
+        for workers in WORKER_SWEEP:
+            DEFAULT_GROUP_INDEX_CACHE.clear()
+            ctx = ExecutionContext({}, SUM_PRODUCT, workers=workers)
+            result = belief_propagation(
+                self._chain(), SUM_PRODUCT, context=ctx
+            )
+            outputs[workers] = {
+                name: _result_bytes(rel)
+                for name, rel in result.tables.items()
+            }
+        ref = outputs[1]
+        for workers, got in outputs.items():
+            assert got == ref, f"BP diverged at workers={workers}"

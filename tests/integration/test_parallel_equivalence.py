@@ -25,9 +25,17 @@ import pytest
 from repro.catalog import Catalog
 from repro.data import complete_relation, var
 from repro.engine import Database
-from repro.errors import QueryTimeout
+from repro.errors import MemoryLimitExceeded, QueryTimeout
 from repro.obs.metrics import MetricsRegistry
-from repro.plans import GroupBy, QueryGuard, Scan, evaluate
+from repro.plans import (
+    GroupBy,
+    ProductJoin,
+    QueryGuard,
+    Scan,
+    evaluate,
+    evaluate_dag,
+    lower,
+)
 from repro.plans.runtime import ExecutionContext
 from repro.query import MPFQuery, MPFView
 from repro.semiring import SUM_PRODUCT
@@ -41,6 +49,7 @@ from repro.storage import (
     WriteAheadLog,
     wal_path,
 )
+from repro.storage.page import PageGeometry
 from repro.workload.bp import belief_propagation
 
 WORKER_SWEEP = (1, 2, 4)
@@ -221,6 +230,83 @@ class TestShardTaskFailure:
         got = evaluate(plan, ctx)
         serial = ExecutionContext(catalog, SUM_PRODUCT, workers=1)
         assert _result_bytes(got) == _result_bytes(evaluate(plan, serial))
+
+
+class TestShardedDegradeDecision:
+    """The hash→sort degrade decision is taken once, on the merged input.
+
+    ``workmem_pages`` is sized so the merged hash build side (``r_ab``)
+    does not fit while every one of its shards does: a decision taken
+    per shard would never degrade.  The sharded run must still degrade
+    each hash operator exactly once, byte-identically to ``workers=1``
+    on the same partitioning, and with degradation disabled it must
+    refuse before the node registers any schedule task.
+    """
+
+    WORKMEM = 3
+
+    def _catalog(self):
+        rng = np.random.default_rng(20260806)
+        a, b, c = var("a", 40), var("b", 30), var("c", 8)
+        catalog = Catalog()
+        catalog.register(complete_relation([a, b], rng=rng, name="r_ab"))
+        catalog.register(complete_relation([b, c], rng=rng, name="r_bc"))
+        catalog.partition_table("r_ab", "b", 2)
+        catalog.partition_table("r_bc", "b", 2)
+        return catalog
+
+    @staticmethod
+    def _plans():
+        return [
+            ProductJoin(Scan("r_ab"), Scan("r_bc"), method="hash"),
+            GroupBy(Scan("r_ab"), ["a"], method="hash"),
+        ]
+
+    def _run(self, workers):
+        ctx = ExecutionContext(
+            self._catalog(), SUM_PRODUCT, workmem_pages=self.WORKMEM,
+            guard=QueryGuard(), workers=workers,
+        )
+        return evaluate_dag(lower(self._plans()), ctx), ctx
+
+    def test_sizing_splits_merged_and_shard_build_sides(self):
+        catalog = self._catalog()
+
+        def pages(relation):
+            return PageGeometry(relation.arity).pages_for(relation.ntuples)
+
+        assert pages(catalog.relation("r_ab")) > self.WORKMEM
+        assert all(
+            pages(shard) <= self.WORKMEM
+            for shard in catalog.shard_relations("r_ab")
+        )
+
+    def test_one_degradation_per_hash_operator(self):
+        results, ctx = self._run(workers=2)
+        degradations = ctx.guard.degradations
+        assert len(degradations) == 2
+        assert sum("hash join" in d for d in degradations) == 1
+        assert sum("hash aggregation" in d for d in degradations) == 1
+
+        ref_results, ref_ctx = self._run(workers=1)
+        assert [_result_bytes(r) for r in results] == [
+            _result_bytes(r) for r in ref_results
+        ]
+        assert ctx.stats == ref_ctx.stats
+        assert degradations == ref_ctx.guard.degradations
+
+    @pytest.mark.parametrize("index", (0, 1), ids=("join", "aggregate"))
+    def test_no_degrade_refuses_before_node_tasks(self, index):
+        ctx = ExecutionContext(
+            self._catalog(), SUM_PRODUCT, workmem_pages=self.WORKMEM,
+            workers=2,
+        )
+        evaluate_dag(lower([Scan("r_ab"), Scan("r_bc")]), ctx)
+        tasks_before = len(ctx.schedule)
+        ctx.guard = QueryGuard(allow_degrade=False)
+        with pytest.raises(MemoryLimitExceeded):
+            evaluate(self._plans()[index], ctx)
+        assert len(ctx.schedule) == tasks_before
 
 
 class TestBPWorkerSweep:

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import PlanError
 from repro.optimizer import CSPlusNonlinear, QuerySpec, VariableElimination
 from repro.plans import (
-    FilterScan,
     GroupBy,
     IndexScan,
     ProductJoin,
@@ -119,7 +118,6 @@ class TestEveryNodeKind:
     SAMPLES = {
         "Scan": lambda: Scan("a"),
         "IndexScan": lambda: IndexScan("a", {"x": 1}),
-        "FilterScan": lambda: FilterScan("a", {"x": 1, "y": 0}),
         "Select": lambda: Select(Scan("a"), {"x": 2}),
         "ProductJoin": lambda: ProductJoin(
             Scan("a"), Scan("b"), method="sort_merge"
@@ -198,6 +196,29 @@ class TestErrors:
     def test_malformed_dict(self):
         with pytest.raises(PlanError):
             plan_from_dict({"nope": 1})
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"op": "scan"},
+            {"op": "select", "predicate": {}},
+            {"op": "group_by", "child": {"op": "scan", "table": "a"}},
+            {"op": "select", "predicate": 5,
+             "child": {"op": "scan", "table": "a"}},
+            {"op": "index_scan", "table": "a", "predicate": 5},
+        ],
+        ids=["scan-no-table", "select-no-child", "group-by-no-groups",
+             "select-predicate-int", "index-scan-predicate-int"],
+    )
+    def test_malformed_fields_raise_plan_error(self, data):
+        with pytest.raises(PlanError, match="malformed plan dict"):
+            plan_from_dict(data)
+
+    def test_filter_scan_is_an_unknown_op(self):
+        with pytest.raises(PlanError, match="unknown plan op"):
+            plan_from_dict(
+                {"op": "filter_scan", "table": "a", "predicate": {"x": 1}}
+            )
 
     def test_invalid_json(self):
         with pytest.raises(PlanError):
